@@ -7,7 +7,7 @@ one on the same workload:
    optimization);
 2. the custom bounds-based IncNat satisfiability oracle vs. naive enumeration
    of assignments (Section 4.1's "custom solvers beat the Z3 embedding");
-3. unsatisfiable-cell pruning in the decision procedure on vs. off.
+3. unsatisfiable-cell pruning in the explicit cell enumerator on vs. off.
 
 The benchmark names encode the configuration so `pytest-benchmark`'s
 comparison output lines the pairs up.
@@ -16,12 +16,12 @@ comparison output lines the pairs up.
 import pytest
 
 from repro.core import terms as T
-from repro.core.decision import EquivalenceChecker
 from repro.core.pushback import normalize
 from repro.core.terms import smart_constructors_disabled
 from repro.smt.dpll import dpll_satisfiable, naive_satisfiable
 from repro.theories.incnat import Gt, IncNatTheory
 from repro.core.kmt import KMT
+from repro.core.oracle import OracleChecker
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_ablation_naive_enumeration(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# 3. unsatisfiable-cell pruning in the decision procedure
+# 3. unsatisfiable-cell pruning in the explicit cell enumerator
 # ---------------------------------------------------------------------------
 
 
@@ -100,10 +100,10 @@ def _cell_heavy_pair():
 
 
 def test_ablation_cell_pruning_on(benchmark):
-    # Pruning is an enumerator knob; pin the mode so the ablation keeps
-    # measuring it after the signature search became the default.
+    # Pruning belongs to the reference enumerator (the production signature
+    # search never visits an unsatisfiable cell).
     theory, left, right = _cell_heavy_pair()
-    checker = EquivalenceChecker(theory, prune_unsat_cells=True, cell_search="enumerate")
+    checker = OracleChecker(theory, prune_unsat_cells=True)
 
     def run():
         return checker.check_equivalent(left, right)
@@ -115,7 +115,7 @@ def test_ablation_cell_pruning_on(benchmark):
 
 def test_ablation_cell_pruning_off(benchmark):
     theory, left, right = _cell_heavy_pair()
-    checker = EquivalenceChecker(theory, prune_unsat_cells=False, cell_search="enumerate")
+    checker = OracleChecker(theory, prune_unsat_cells=False)
 
     def run():
         return checker.check_equivalent(left, right)

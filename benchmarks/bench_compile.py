@@ -14,20 +14,20 @@ Section 5 scaling shape also used by ``bench_cell_search.py``):
 
 2. **What does compilation cost against the derivative walk?**  For the
    family's loop actions ``L`` vs ``L;L`` (equivalent by ``m*;m* == m*``),
-   compare the legacy pairwise ``language_compare`` against compile +
-   ``compiled_compare`` — once cold (compilation amortized over a single
-   comparison) and once hot (automata precompiled, the regime every warm
-   session lives in after the first query touching a sum).
+   compare the reference oracle's derivative ``language_compare``
+   (:mod:`repro.core.oracle`) against compile + ``flat_compare`` — once cold
+   (compilation amortized over a single comparison) and once hot (automata
+   precompiled, the regime every warm session lives in after the first query
+   touching a sum).
 
-3. **Does the flat kernel pay over the legacy walk?**  On the same
-   precompiled automata, hot ``flat_compare`` vs hot ``compiled_compare`` —
-   on the *equivalent* pair (where the canonical-table fast path decides
+3. **Does the canonical-table fast path pay over the product walk?**  On the
+   same precompiled automata, hot ``flat_compare`` vs the bare product walk
+   it falls back to — on the *equivalent* pair (where the fast path decides
    without walking; this is the gated number) and on an *inequivalent*
-   perturbed pair (depth ``d`` vs ``d+1``), which takes the witness-producing
-   walk (informational — below ``_BFS_NUMPY_MIN_PAIRS`` product codes, or
-   without numpy, that walk *is* the legacy one, so it is never gated on
-   wall clock).  Both kernels must agree on verdicts and witness words
-   (always gated).
+   perturbed pair (depth ``d`` vs ``d+1``), where both walk (informational).
+   ``flat_compare`` must agree with the reference oracle on both verdicts,
+   and its witness must be accepted by exactly one side and be as short as
+   the oracle's shortest distinguishing word (always gated).
 
 Run directly to emit the ``BENCH_compile.json`` artifact at the repo root::
 
@@ -46,10 +46,11 @@ import sys
 import time
 
 from repro.core import terms as T
-from repro.core.automata import language_compare, set_derivative_cache
-from repro.core.compile import compile_automaton, compiled_compare
+from repro.core.automata import set_derivative_cache
+from repro.core.compile import compile_automaton
 from repro.core.decision import EquivalenceChecker
-from repro.core.kernels import HAVE_NUMPY, flat_compare
+from repro.core.kernels import _product_search, flat_compare
+from repro.core.oracle import counterexample_word, derivative_accepts, language_compare
 from repro.core.pushback import Normalizer
 from repro.engine.cache import DERIVATIVE_CACHE, EngineCaches
 from repro.theories.bitvec import BitVecTheory
@@ -65,8 +66,8 @@ SMOKE_SIZES = [(1, 2), (2, 2)]
 
 #: Full-run gate: warm aut-cache reuse vs cold compilation at the largest size.
 WARM_SPEEDUP_TARGET = 5.0
-#: Full-run gate: flat vs legacy kernel on the largest size's hot equivalent
-#: pair (the canonical-table fast path vs the legacy product walk).
+#: Full-run gate: ``flat_compare`` vs the bare product walk on the largest
+#: size's hot equivalent pair (the canonical-table fast path vs a full walk).
 KERNEL_SPEEDUP_TARGET = 5.0
 #: How many repeated comparisons the hot (precompiled) regime amortizes over.
 HOT_REPEATS = 25
@@ -156,7 +157,7 @@ def _measure_compare(theory, loop):
     derivative_seconds = time.perf_counter() - started
     started = time.perf_counter()
     a, b = compile_automaton(left), compile_automaton(right)
-    compiled_equal, _ = compiled_compare(a, b)
+    compiled_equal, _ = flat_compare(a, b)
     compiled_cold_seconds = time.perf_counter() - started
     if not (derivative_equal and compiled_equal):
         raise AssertionError("loop pair unexpectedly inequivalent")
@@ -164,7 +165,7 @@ def _measure_compare(theory, loop):
     # session pays per signature after the first query touching these sums).
     started = time.perf_counter()
     for _ in range(HOT_REPEATS):
-        compiled_compare(a, b)
+        flat_compare(a, b)
     compiled_hot_seconds = (time.perf_counter() - started) / HOT_REPEATS
     started = time.perf_counter()
     for _ in range(HOT_REPEATS):
@@ -191,15 +192,20 @@ def _hot_seconds(fn, repeats=HOT_REPEATS):
     return (time.perf_counter() - started) / repeats
 
 
+def _walk(a, b):
+    """The product walk ``flat_compare`` falls back to, without its fast path."""
+    return _product_search(a, b, lambda pa, qb: pa != qb, None)
+
+
 def _measure_kernels(theory, m, d):
-    """Flat vs legacy product-walk kernels on precompiled automata (hot).
+    """``flat_compare`` vs the bare product walk on precompiled automata (hot).
 
     The equivalent pair (sums of ``L`` vs ``L;L``) compiles to byte-identical
-    canonical tables, so the flat kernel decides it on the equality fast path
-    — the regime warm sessions live in, and the gated number.  The
-    inequivalent pair (sums of the depth-``d`` vs depth-``d+1`` loop) forces
-    the batched witness-producing BFS; it is recorded but never wall-clock
-    gated (without numpy that path *is* the legacy walk).
+    canonical tables, so ``flat_compare`` decides it on the equality fast
+    path — the regime warm sessions live in, and the gated number.  The
+    inequivalent pair (sums of the depth-``d`` vs depth-``d+1`` loop) takes
+    the witness-producing walk either way; it is recorded but never
+    wall-clock gated.  Both verdicts are checked against the reference oracle.
     """
     normalizer = Normalizer(theory, budget=5_000_000)
 
@@ -209,42 +215,40 @@ def _measure_kernels(theory, m, d):
         )
 
     loop = _chain_sum_loop(theory, m, d)
-    a = compile_automaton(loop_sum(loop))
+    sum_a = loop_sum(loop)
+    sum_c = loop_sum(_chain_sum_loop(theory, m, d + 1))
+    a = compile_automaton(sum_a)
     b = compile_automaton(loop_sum(T.tseq(loop, loop)))
-    c = compile_automaton(loop_sum(_chain_sum_loop(theory, m, d + 1)))
-    # Verdict/witness agreement is a correctness gate, not a timing one.
-    if flat_compare(a, b) != compiled_compare(a, b):
-        raise AssertionError("flat and legacy kernels disagree on the equivalent pair")
+    c = compile_automaton(sum_c)
+    # Agreement with the oracle is a correctness gate, not a timing one.
+    if flat_compare(a, b) != (True, None) or _walk(a, b) != (True, None):
+        raise AssertionError("equivalent pair judged inequivalent")
     flat_verdict = flat_compare(a, c)
-    if flat_verdict != compiled_compare(a, c):
-        raise AssertionError("flat and legacy kernels disagree on the inequivalent pair")
-    if flat_verdict[0]:
+    if flat_verdict[0] or language_compare(sum_a, sum_c)[0]:
         raise AssertionError("perturbed pair unexpectedly equivalent")
+    word = flat_verdict[1]
+    if derivative_accepts(sum_a, word) == derivative_accepts(sum_c, word):
+        raise AssertionError("witness word is accepted by both sides or neither")
+    if len(word) != len(counterexample_word(sum_a, sum_c, max_length=4 * d + 8)):
+        raise AssertionError("witness word is longer than the oracle's shortest")
     equivalent = {
-        "legacy_hot_seconds": round(_hot_seconds(lambda: compiled_compare(a, b)), 9),
+        "walk_hot_seconds": round(_hot_seconds(lambda: _walk(a, b)), 9),
         "flat_hot_seconds": round(_hot_seconds(lambda: flat_compare(a, b)), 9),
     }
     equivalent["flat_speedup"] = (
-        round(equivalent["legacy_hot_seconds"] / equivalent["flat_hot_seconds"], 2)
+        round(equivalent["walk_hot_seconds"] / equivalent["flat_hot_seconds"], 2)
         if equivalent["flat_hot_seconds"] else float("inf")
     )
     inequivalent = {
-        "legacy_hot_seconds": round(_hot_seconds(lambda: compiled_compare(a, c)), 9),
+        "walk_hot_seconds": round(_hot_seconds(lambda: _walk(a, c)), 9),
         "flat_hot_seconds": round(_hot_seconds(lambda: flat_compare(a, c)), 9),
-        "witness_length": len(flat_verdict[1]),
+        "witness_length": len(word),
     }
     inequivalent["flat_speedup"] = (
-        round(inequivalent["legacy_hot_seconds"] / inequivalent["flat_hot_seconds"], 2)
+        round(inequivalent["walk_hot_seconds"] / inequivalent["flat_hot_seconds"], 2)
         if inequivalent["flat_hot_seconds"] else float("inf")
     )
-    out = {"numpy": HAVE_NUMPY, "equivalent": equivalent, "inequivalent": inequivalent}
-    if not HAVE_NUMPY:
-        out["note"] = (
-            "numpy unavailable: flat kernels ran the pure-array paths (the "
-            "equality fast path is numpy-free; the inequivalent pair fell "
-            "back to the legacy walk)"
-        )
-    return out
+    return {"equivalent": equivalent, "inequivalent": inequivalent}
 
 
 def run_all(smoke=False):
@@ -263,12 +267,12 @@ def run_all(smoke=False):
     return {
         "benchmark": "compile",
         "description": (
-            "cold compilation vs warm aut-cache reuse, compiled product "
-            "walks vs derivative language_compare, and flat vs legacy walk "
-            "kernels, on the nested-sums-under-star family"
+            "cold compilation vs warm aut-cache reuse, compiled comparisons "
+            "vs the oracle's derivative language_compare, and the canonical-"
+            "table fast path vs the product walk, on the nested-sums-under-"
+            "star family"
         ),
         "smoke": smoke,
-        "numpy": HAVE_NUMPY,
         "sizes": rows,
         "largest_warm_speedup": rows[-1]["warm_speedup"],
         "largest_hot_speedup": rows[-1]["compare"]["hot_speedup"],
@@ -289,14 +293,14 @@ def check_report(report, require_speedup=True):
             )
         if row["warm"]["aut_hits"] <= 0:
             failures.append(f"size {row['size']}: warm run never hit the aut cache")
-        # The flat kernel must never lose to the legacy walk on the hot
+        # flat_compare must never lose to the bare walk on the hot
         # equivalent pair.  Gated in every lane, smoke included: the fast
         # path is two buffer comparisons against a full product walk, so the
         # margin is orders of magnitude — not a flaky wall-clock race.
         if row["kernels"]["equivalent"]["flat_speedup"] < 1.0:
             failures.append(
-                f"size {row['size']}: flat kernel slower than legacy on the "
-                f"equivalent pair ({row['kernels']['equivalent']['flat_speedup']}x)"
+                f"size {row['size']}: flat_compare slower than the product walk "
+                f"on the equivalent pair ({row['kernels']['equivalent']['flat_speedup']}x)"
             )
     if require_speedup and report["largest_warm_speedup"] < WARM_SPEEDUP_TARGET:
         failures.append(
@@ -305,7 +309,7 @@ def check_report(report, require_speedup=True):
         )
     if require_speedup and report["largest_kernel_speedup"] < KERNEL_SPEEDUP_TARGET:
         failures.append(
-            f"largest-size flat-kernel speedup {report['largest_kernel_speedup']}x "
+            f"largest-size fast-path speedup {report['largest_kernel_speedup']}x "
             f"below the {KERNEL_SPEEDUP_TARGET}x target"
         )
     return failures

@@ -75,12 +75,12 @@ def _run_lane(sizes, snapshot_path, warm, out_path):
     warm lane's measured time — warm start is only a win if load + warm
     queries beats cold queries.
     """
-    from repro.engine.batch import SessionPool
     from repro.engine.persist import SnapshotStore
+    from repro.engine.session import ShardedSessionPool
 
     queries = query_set(sizes)
     started = time.perf_counter()
-    pool = SessionPool()
+    pool = ShardedSessionPool(stripes=1)
     load_seconds = None
     if warm:
         pool.import_snapshot(SnapshotStore(snapshot_path).load())

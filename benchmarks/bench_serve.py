@@ -2,9 +2,9 @@
 
 Replays mixed-theory workloads through four serving configurations:
 
-* ``single_loop`` — the legacy blocking stdio loop
-  (:func:`repro.engine.batch.serve`): read a request, answer it, read the
-  next.  This is the baseline the concurrent server replaces.
+* ``single_loop`` — :func:`repro.engine.server.serve_stdio` with
+  ``ordered=True`` and one worker: one request at a time, answered in input
+  order.  This is the single-threaded baseline.
 * ``server_1`` — :func:`repro.engine.server.serve_stdio` with one worker
   shard (concurrency machinery, no parallelism).
 * ``server_4`` — four worker *threads* with session striping.
@@ -52,7 +52,6 @@ import threading
 import time
 
 from repro.core import automata
-from repro.engine.batch import SessionPool, serve
 from repro.engine.cache import LRUCache
 from repro.engine.server import QueryServer, serve_stdio
 from repro.engine.testing import OracleLatencyTheory
@@ -216,26 +215,22 @@ def _run_mode(name, lines, delay_ms, runner):
     }
 
 
-def _loop_runner(stdin, stdout, delay_ms, theory_factory):
-    pool = SessionPool(theory_factory=theory_factory)
-    started = time.perf_counter()
-    serve(stdin, stdout, pool=pool)
-    return time.perf_counter() - started, _COUNT_IN_PROCESS
-
-
-def _thread_runner(workers):
+def _thread_runner(workers, ordered=False):
     def run(stdin, stdout, delay_ms, theory_factory):
         server = QueryServer(workers=workers, queue_limit=128,
                              theory_factory=theory_factory)
         server.start()
         try:
             started = time.perf_counter()
-            serve_stdio(stdin, stdout, server=server)
+            serve_stdio(stdin, stdout, server=server, ordered=ordered)
             return time.perf_counter() - started, _COUNT_IN_PROCESS
         finally:
             server.shutdown(drain=True)
 
     return run
+
+
+_loop_runner = _thread_runner(1, ordered=True)
 
 
 def _worker_oracle_calls(server):

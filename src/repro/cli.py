@@ -34,8 +34,7 @@ from repro.utils.errors import KmtError
 
 
 def _make_kmt(args):
-    return KMT(build_theory(args.theory), budget=args.budget, cell_search=args.cell_search,
-               walk_kernel=args.walk_kernel)
+    return KMT(build_theory(args.theory), budget=args.budget)
 
 
 def cmd_equiv(args):
@@ -44,10 +43,8 @@ def cmd_equiv(args):
     result = kmt.check_equivalent(args.left, args.right)
     elapsed = time.perf_counter() - started
     verdict = "equivalent" if result.equivalent else "NOT equivalent"
-    detail = f"{elapsed:.3f}s, {result.cells_explored} cells explored"
-    if args.cell_search == "signature":
-        detail += f", {result.signatures_explored} signatures"
-    print(f"{verdict}  ({detail})")
+    print(f"{verdict}  ({elapsed:.3f}s, {result.cells_explored} cells explored, "
+          f"{result.signatures_explored} signatures)")
     if result.counterexample is not None:
         print("counterexample:", result.counterexample.describe())
     return 0 if result.equivalent else 1
@@ -59,10 +56,8 @@ def cmd_incl(args):
     result = kmt.check_inclusion(args.left, args.right)
     elapsed = time.perf_counter() - started
     verdict = "included" if result.includes else "NOT included"
-    detail = f"{elapsed:.3f}s, {result.cells_explored} cells explored"
-    if args.cell_search == "signature":
-        detail += f", {result.signatures_explored} signatures"
-    print(f"{verdict}  ({detail})")
+    print(f"{verdict}  ({elapsed:.3f}s, {result.cells_explored} cells explored, "
+          f"{result.signatures_explored} signatures)")
     if result.counterexample is not None:
         cex = result.counterexample
         print("witness:", cex.describe())
@@ -131,8 +126,7 @@ def _make_session(args):
     """
     from repro.engine.session import EngineSession
 
-    return EngineSession(build_theory(args.theory), budget=args.budget,
-                         cell_search=args.cell_search, walk_kernel=args.walk_kernel)
+    return EngineSession(build_theory(args.theory), budget=args.budget)
 
 
 def cmd_verify(args):
@@ -230,8 +224,7 @@ def cmd_batch(args):
 
     _configure_observability(args)
     runner = BatchRunner(default_theory=args.theory, budget=args.budget, jobs=args.jobs,
-                         cell_search=args.cell_search, slow_query_ms=args.slow_query_ms,
-                         walk_kernel=args.walk_kernel)
+                         slow_query_ms=args.slow_query_ms)
     # The input is streamed into the runner one line at a time instead of
     # readlines() — no duplicate raw-text buffer for `kmt batch -` on a large
     # pipe.  (Parsed requests and responses are still materialized: the batch
@@ -286,45 +279,12 @@ def cmd_serve(args):
             interval=args.checkpoint_interval, metrics=metrics,
         )
 
-    if args.legacy:
-        if args.metrics:
-            print("error: --metrics requires the concurrent server (drop --legacy)",
-                  file=sys.stderr)
-            return 2
-        if args.theory_factory:
-            print("error: --theory-factory requires the concurrent server "
-                  "(drop --legacy)", file=sys.stderr)
-            return 2
-        from repro.engine.batch import SessionPool, serve
-
-        pool = manager = None
-        if args.snapshot:
-            pool = SessionPool(
-                budget=args.budget,
-                cell_search=args.cell_search or "signature",
-                walk_kernel=args.walk_kernel or "flat",
-            )
-            manager = _make_manager(pool.export_snapshot, pool.import_snapshot)
-            manager.load()
-            manager.start()
-        try:
-            served = serve(sys.stdin, sys.stdout, default_theory=args.theory,
-                           budget=args.budget, cell_search=args.cell_search,
-                           slow_query_ms=args.slow_query_ms, walk_kernel=args.walk_kernel,
-                           pool=pool, snapshot_manager=manager)
-        finally:
-            if manager is not None:
-                manager.close()
-        print(f"# served {served} requests", file=sys.stderr)
-        return 0
-
     from repro.engine.server import QueryServer, SocketServer, serve_stdio
 
     server = QueryServer(
         workers=args.workers, stripes=args.stripes, queue_limit=args.queue_limit,
-        default_theory=args.theory, budget=args.budget, cell_search=args.cell_search,
-        backend=args.backend, slow_query_ms=args.slow_query_ms,
-        walk_kernel=args.walk_kernel, theory_factory_spec=args.theory_factory,
+        default_theory=args.theory, budget=args.budget, backend=args.backend,
+        slow_query_ms=args.slow_query_ms, theory_factory_spec=args.theory_factory,
     )
     manager = _make_manager(server.export_snapshot, server.import_snapshot,
                             metrics=server.metrics)
@@ -513,26 +473,6 @@ def make_arg_parser():
         default=500_000,
         help="pushback step budget before normalization gives up",
     )
-    parser.add_argument(
-        "--cell-search",
-        choices=("signature", "enumerate"),
-        default="signature",
-        help=(
-            "decision-procedure cell strategy: solver-guided signature search "
-            "(default) or the explicit cell enumerator (ablation baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--walk-kernel",
-        choices=("flat", "legacy"),
-        default="flat",
-        help=(
-            "product-walk kernel over compiled automata: batched flat-table "
-            "kernels with a canonical-table equality fast path (default; "
-            "vectorized when numpy is importable) or the tuple-based "
-            "per-pair walk (ablation/differential oracle)"
-        ),
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     equiv = sub.add_parser("equiv", help="decide equivalence of two terms")
@@ -641,8 +581,7 @@ def make_arg_parser():
         help=(
             "execution backend: worker threads in this process (default; best "
             "when queries wait on external oracles or I/O) or worker processes "
-            "(true parallelism for CPU-bound queries on multi-core machines); "
-            "ignored under --legacy"
+            "(true parallelism for CPU-bound queries on multi-core machines)"
         ),
     )
     serve.add_argument(
@@ -662,14 +601,10 @@ def make_arg_parser():
         help="serve multiple clients over TCP instead of stdin/stdout (port 0 = ephemeral)",
     )
     serve.add_argument(
-        "--legacy", action="store_true",
-        help="use the blocking single-threaded serve loop instead of the concurrent server",
-    )
-    serve.add_argument(
         "--metrics", metavar="HOST:PORT", default=None,
         help=(
             "expose a Prometheus text endpoint at http://HOST:PORT/metrics "
-            "(port 0 = ephemeral; concurrent server only)"
+            "(port 0 = ephemeral)"
         ),
     )
     serve.add_argument(
@@ -685,7 +620,7 @@ def make_arg_parser():
         help=(
             "theory-factory spec resolved inside each worker (testing and "
             "benchmark hook — e.g. repro.engine.testing:oracle_latency_factory "
-            "reads KMT_TEST_ORACLE_* from the environment); concurrent server only"
+            "reads KMT_TEST_ORACLE_* from the environment)"
         ),
     )
     serve.add_argument(

@@ -1,13 +1,14 @@
-"""Word automata over restricted actions (paper Section 4.1).
+"""Brzozowski derivatives of restricted actions (paper Section 4.1).
 
 The decision procedure compares the restricted actions of two normal forms as
-regular languages.  Following the paper's implementation we use *implicit*
-automata whose states are restricted-action terms, with the transition
-relation generated on the fly by the Brzozowski derivative, and decide
-equivalence with the Hopcroft–Karp union-find algorithm.  Hash-consed smart
-constructors keep the set of distinct derivative states small (derivatives of
-a regular expression are finite up to the ACI axioms the smart constructors
-apply).
+regular languages.  Following the paper's implementation, the states of a
+restricted action's automaton are restricted-action terms and its transitions
+are Brzozowski derivatives.  Hash-consed smart constructors keep the set of
+distinct derivative states small (derivatives of a regular expression are
+finite up to the ACI axioms the smart constructors apply).
+:mod:`repro.core.compile` explores these states once per action and builds an
+explicit minimal DFA; the derivative-pairwise comparison the paper describes
+lives in the reference oracle, :mod:`repro.core.oracle`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core import terms as T
-from repro.utils.errors import CounterexampleBoundExceeded, KmtError
+from repro.utils.errors import KmtError
 
 
 # ---------------------------------------------------------------------------
@@ -168,27 +169,22 @@ def _derivative_raw(m, pi):
 # Memo tables for the primitive-action alphabets.  Keys are the hash-consed
 # terms themselves (structurally equal nodes are one object, and even after a
 # ``clear_intern_table`` a re-built node still compares equal to the old key,
-# so entries never go stale).  Before this memo every ``language_compare`` /
-# ``language_is_empty`` call re-walked both terms and re-sorted the alphabet
-# by ``repr`` — pure waste on the decision procedure's hot loop, which keeps
-# comparing the same restricted-action sums.  Each table is capped: a
+# so entries never go stale).  Without them every compilation would re-walk
+# its term and re-sort the alphabet by ``repr``.  Each table is capped: a
 # long-lived server streaming ever-new terms must not grow them without
-# bound (the pair table is quadratic in distinct actions at worst), so on
-# overflow a table is simply reset — hot entries re-memoize on next use,
-# which is cheaper machinery than a full LRU for what is a pure-function
-# memo.
+# bound, so on overflow a table is simply reset — hot entries re-memoize on
+# next use, which is cheaper machinery than a full LRU for what is a
+# pure-function memo.
 _ALPHABET_CACHE_LIMIT = 1 << 16
 
 _ALPHA_CACHE = {}       # restricted action -> frozenset of primitive actions
 _SIGMA_CACHE = {}       # restricted action -> tuple sorted in canonical order
-_SIGMA_PAIR_CACHE = {}  # (m, n) -> merged sorted tuple
 
 
 def clear_alphabet_caches():
     """Drop the alphabet memo tables (never required for correctness)."""
     _ALPHA_CACHE.clear()
     _SIGMA_CACHE.clear()
-    _SIGMA_PAIR_CACHE.clear()
 
 
 def _memo_capped(cache, key, value):
@@ -220,168 +216,12 @@ def sorted_alphabet(m):
     return cached
 
 
-def sorted_alphabet_pair(m, n):
-    """The merged canonical alphabet of two restricted actions (memoized)."""
-    if m == n:
-        return sorted_alphabet(m)
-    key = (m, n)
-    cached = _SIGMA_PAIR_CACHE.get(key)
-    if cached is None:
-        a, b = sorted_alphabet(m), sorted_alphabet(n)
-        merged = a if a == b else tuple(sorted(set(a) | set(b), key=repr))
-        cached = _memo_capped(_SIGMA_PAIR_CACHE, key, merged)
-    return cached
-
-
 def alphabet(*terms):
     """The combined primitive-action alphabet of the given restricted actions."""
     out = set()
     for m in terms:
         out |= _alphabet_of(m)
     return out
-
-
-# ---------------------------------------------------------------------------
-# language emptiness
-# ---------------------------------------------------------------------------
-
-
-def language_is_empty(m):
-    """True iff ``R(m)`` is empty (no reachable nullable derivative)."""
-    m = canonical(m)
-    sigma = sorted_alphabet(m)
-    seen = {m}
-    queue = deque([m])
-    while queue:
-        state = queue.popleft()
-        if nullable(state):
-            return False
-        for pi in sigma:
-            nxt = derivative(state, pi)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Hopcroft–Karp equivalence
-# ---------------------------------------------------------------------------
-
-
-class _UnionFind:
-    """Union-find over hashable items (path compression, union by size)."""
-
-    def __init__(self):
-        self.parent = {}
-        self.size = {}
-
-    def find(self, item):
-        if item not in self.parent:
-            self.parent[item] = item
-            self.size[item] = 1
-            return item
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
-def language_compare(m, n, max_states=None, cancel=None):
-    """Decide ``R(m) == R(n)`` and produce a witness in a single pass.
-
-    Runs Hopcroft–Karp over Brzozowski derivatives once, threading the access
-    word of every state pair through the worklist.  Returns
-    ``(equivalent, word)``: ``(True, None)`` when the languages agree, and
-    otherwise ``(False, w)`` where ``w`` is a word of primitive actions
-    accepted by exactly one side (a genuine distinguishing word, though not
-    necessarily a shortest one — use :func:`counterexample_word` for that).
-
-    ``max_states`` optionally bounds the number of explored state pairs as a
-    safety valve (derivatives modulo the smart-constructor rewrites are finite,
-    so the default of no bound terminates).  ``cancel`` is an optional
-    cooperative-cancellation callable invoked once per explored state pair; it
-    aborts the comparison by raising (see
-    :class:`~repro.utils.errors.QueryCancelled`).
-    """
-    if not T.is_restricted(m) or not T.is_restricted(n):
-        raise KmtError("language_compare expects restricted actions")
-    m, n = canonical(m), canonical(n)
-    sigma = sorted_alphabet_pair(m, n)
-    uf = _UnionFind()
-    uf.union(("L", m), ("R", n))
-    queue = deque([((), m, n)])
-    explored = 0
-    while queue:
-        word, p, q = queue.popleft()
-        explored += 1
-        if max_states is not None and explored > max_states:
-            raise KmtError(f"language_compare exceeded {max_states} state pairs")
-        if cancel is not None:
-            cancel()
-        if nullable(p) != nullable(q):
-            return False, word
-        for pi in sigma:
-            dp = derivative(p, pi)
-            dq = derivative(q, pi)
-            if uf.union(("L", dp), ("R", dq)):
-                queue.append((word + (pi,), dp, dq))
-    return True, None
-
-
-def language_equivalent(m, n, max_states=None):
-    """Decide ``R(m) == R(n)`` (see :func:`language_compare`).
-
-    Returns ``True``/``False``.
-    """
-    return language_compare(m, n, max_states=max_states)[0]
-
-
-def counterexample_word(m, n, max_length=16):
-    """A shortest word accepted by exactly one of ``m``/``n``, or None.
-
-    Breadth-first product search; mainly a debugging aid for failed
-    equivalences and for tests of :func:`language_equivalent` itself.
-    ``None`` always means *proved equivalent*: if the search has to truncate
-    at ``max_length`` before exhausting the product space, it raises
-    :class:`~repro.utils.errors.CounterexampleBoundExceeded` instead of
-    silently returning the equivalence answer (the old behaviour conflated
-    "equivalent" with "bound hit").  For an exact, bound-free shortest
-    witness use :func:`repro.core.compile.compiled_compare`.
-    """
-    m, n = canonical(m), canonical(n)
-    sigma = sorted_alphabet_pair(m, n)
-    seen = {(m, n)}
-    queue = deque([((), m, n)])
-    truncated = False
-    while queue:
-        word, p, q = queue.popleft()
-        if nullable(p) != nullable(q):
-            return word
-        if len(word) >= max_length:
-            truncated = True
-            continue
-        for pi in sigma:
-            dp = derivative(p, pi)
-            dq = derivative(q, pi)
-            if (dp, dq) not in seen:
-                seen.add((dp, dq))
-                queue.append((word + (pi,), dp, dq))
-    if truncated:
-        raise CounterexampleBoundExceeded(max_length)
-    return None
 
 
 def derivative_states(m, max_states=10_000):

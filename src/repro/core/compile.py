@@ -1,11 +1,9 @@
 """Compiled symbolic automata over restricted actions — flat-arena IR.
 
-The decision procedure's hot loop compares restricted-action sums as regular
-languages.  The implicit-automaton route (:mod:`repro.core.automata`) walks
-Brzozowski derivatives of *terms* pairwise — every comparison re-derives the
-same states, and nothing of the finished state graph survives the call.  This
-module instead *compiles* a restricted action once into an explicit
-:class:`CompiledAutomaton`:
+The decision procedure compares restricted-action sums as regular languages.
+This module compiles a restricted action once into an explicit
+:class:`CompiledAutomaton` by exploring its Brzozowski derivatives
+(:mod:`repro.core.automata`):
 
 * **dense int states** — derivative states are numbered 0..n-1 in BFS
   discovery order (state 0 is the start state);
@@ -14,15 +12,13 @@ module instead *compiles* a restricted action once into an explicit
   ``delta[s * |sigma| + k]`` is the successor of state ``s`` under the
   ``k``-th symbol of the **canonical alphabet order**
   (:func:`repro.core.automata.sorted_alphabet`), so a product walk is two int
-  indexings into contiguous buffers — and the batched kernels in
-  :mod:`repro.core.kernels` can wrap the same buffer in a numpy view with no
-  copying;
+  indexings into contiguous buffers;
 * **accepting bitset** — an int bitmask, ``accepting >> s & 1``;
 * **packed back-pointers** — ``back`` is a flat ``array('i')`` of
   ``(predecessor, symbol_index)`` pairs (``back[2s]``, ``back[2s+1]``; the
   start state holds ``(-1, -1)``) recorded at BFS discovery, so a shortest
-  access word for any state (hence shortest witness words) is read off by
-  walking pointers back to the start state;
+  access word for any state is read off by walking pointers back to the
+  start state;
 * **interned alphabets** — ``sigma`` is interned through
   :mod:`repro.core.arena`, so the per-alphabet ``{symbol: index}`` map is
   shared by every automaton over the same theory alphabet instead of being
@@ -35,32 +31,16 @@ dead sink state is dropped when the trim leaves it unreachable.  The trimmed,
 BFS-renumbered minimal DFA is a *canonical value* of the action's language —
 two restricted actions denote the same language **iff** their compiled
 automata have identical ``(sigma, n_states, accepting, delta)`` tables.  The
-flat kernels exploit that for an O(tables) equivalence fast path.
+comparisons in :mod:`repro.core.kernels` decide most equal pairs that way,
+before any product walk.
 
-On top of the IR, the query operations:
-
-* :func:`compiled_compare` — language equivalence with a *shortest*
-  distinguishing word (BFS product walk, no state bound needed: the automata
-  are finite by construction);
-* :func:`compiled_includes` — language containment ``L(a) ⊆ L(b)`` via
-  product emptiness, with a shortest word in ``L(a) \\ L(b)`` as witness;
-* :meth:`CompiledAutomaton.accepts` — word membership in O(|word|) table
-  lookups (batched variant: :func:`repro.core.kernels.accepts_batch`).
-
-These are the **legacy walk** implementations — one product pair popped at a
-time off a FIFO queue.  The default decision path routes comparisons through
-the batched flat kernels (:mod:`repro.core.kernels`,
-``walk_kernel="flat"``); the walk here is retained intact as the
-differential/ablation oracle (``walk_kernel="legacy"``), exactly as
-``use_compiled=False`` preserves the derivative path.
-
-Automata compiled from different actions may have different alphabets; the
-product walks reconcile them with an implicit non-accepting *dead* sink: a
-symbol outside an automaton's alphabet derives every state of that automaton
-to the empty language (the Brzozowski derivative of a term not mentioning the
-symbol is ``0``), which is exactly the sink's behaviour.  The canonical trim
-leans on the same fact: pruning a dead symbol's column only removes
-transitions into the sink.
+The automaton answers emptiness (:meth:`CompiledAutomaton.is_empty`, a field
+read) and word membership (:meth:`CompiledAutomaton.accepts`, O(|word|)
+table lookups) itself.  A symbol outside an automaton's alphabet derives
+every state to the empty language (the Brzozowski derivative of a term not
+mentioning the symbol is ``0``), so it falls into an implicit non-accepting
+*dead* sink; the canonical trim leans on the same fact, since pruning a dead
+symbol's column only removes transitions into the sink.
 
 The engine layer caches compiled automata in a per-session ``aut`` LRU
 (:class:`repro.engine.cache.EngineCaches`), keyed by the action's stable
@@ -86,8 +66,8 @@ from repro.core.automata import (
 from repro.utils.errors import KmtError
 from repro.utils.trace import current_trace
 
-#: Sink pseudo-state used by the product walks for symbols missing from one
-#: automaton's alphabet: non-accepting, and every transition loops on it.
+#: Sink pseudo-state for symbols missing from an automaton's alphabet:
+#: non-accepting, and every transition loops on it.
 _DEAD = -1
 
 
@@ -242,13 +222,6 @@ class CompiledAutomaton:
                 return False
             state = delta[state * nsym + k]
         return bool((self.accepting >> state) & 1)
-
-    def accepts_batch(self, words, cancel=None):
-        """Batched membership over many words (see
-        :func:`repro.core.kernels.accepts_batch`)."""
-        from repro.core.kernels import accepts_batch
-
-        return accepts_batch(self, words, cancel=cancel)
 
     def access_word(self, state):
         """A shortest word reaching ``state`` from the start state.
@@ -487,94 +460,3 @@ def _hopcroft(n, nsym, delta, accepting, cancel=None):
     # renumbers by BFS anyway; this just keeps the mapping dense).
     remap = {}
     return [remap.setdefault(block_of[state], len(remap)) for state in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# product walks (the legacy kernel — pair-at-a-time FIFO BFS)
-# ---------------------------------------------------------------------------
-
-
-def _merged_sigma(a, b):
-    """The two automata's alphabets merged in canonical order, plus the
-    per-automaton symbol-index maps (``_DEAD`` marks an absent symbol)."""
-    index_a = sigma_index(a.sigma)
-    index_b = sigma_index(b.sigma)
-    if a.sigma == b.sigma:
-        merged = a.sigma
-    else:
-        merged = tuple(sorted(set(a.sigma) | set(b.sigma), key=repr))
-    map_a = tuple(index_a.get(pi, _DEAD) for pi in merged)
-    map_b = tuple(index_b.get(pi, _DEAD) for pi in merged)
-    return merged, map_a, map_b
-
-
-def _product_search(a, b, mismatch, cancel=None):
-    """BFS over the product automaton for the first ``mismatch`` pair.
-
-    ``mismatch(acc_a, acc_b)`` decides whether a product state is a witness;
-    the returned word is shortest because the walk is breadth-first.  Returns
-    ``(True, None)`` when no reachable pair mismatches, else ``(False,
-    word)``.
-    """
-    trace = current_trace()
-    if trace is not None:
-        with trace.span("product_walk"):
-            return _product_search_untraced(a, b, mismatch, cancel)
-    return _product_search_untraced(a, b, mismatch, cancel)
-
-
-def _product_search_untraced(a, b, mismatch, cancel):
-    merged, map_a, map_b = _merged_sigma(a, b)
-    nsa = len(a.sigma)
-    nsb = len(b.sigma)
-    da = a.delta
-    db = b.delta
-    start = (a.initial, b.initial)
-    seen = {start}
-    queue = deque([((), a.initial, b.initial)])
-    while queue:
-        word, p, q = queue.popleft()
-        if cancel is not None:
-            cancel()
-        if mismatch(a.is_accepting(p), b.is_accepting(q)):
-            return False, word
-        for k, pi in enumerate(merged):
-            ka, kb = map_a[k], map_b[k]
-            dp = _DEAD if (p == _DEAD or ka == _DEAD) else da[p * nsa + ka]
-            dq = _DEAD if (q == _DEAD or kb == _DEAD) else db[q * nsb + kb]
-            if dp == _DEAD and dq == _DEAD:
-                continue  # joint dead sink: nothing past here can mismatch
-            if (dp, dq) not in seen:
-                seen.add((dp, dq))
-                queue.append((word + (pi,), dp, dq))
-    return True, None
-
-
-def compiled_compare(a, b, cancel=None):
-    """Decide ``L(a) == L(b)``; returns ``(equivalent, word)``.
-
-    The word, when present, is a *shortest* distinguishing word (accepted by
-    exactly one side) — the compiled analogue of
-    :func:`repro.core.automata.language_compare`, which only promises *a*
-    distinguishing word.  No state bound is needed: both automata are finite
-    and the product has at most ``|a| * |b|`` live pairs.
-
-    This is the legacy walk; the default decision path uses the batched flat
-    kernel (:func:`repro.core.kernels.flat_compare`), which must produce
-    byte-identical verdicts and witnesses.
-    """
-    if a is b:
-        return True, None  # cached automata are shared objects; reflexivity
-    return _product_search(a, b, lambda pa, qb: pa != qb, cancel=cancel)
-
-
-def compiled_includes(a, b, cancel=None):
-    """Decide ``L(a) <= L(b)``; returns ``(included, word)``.
-
-    Containment via product emptiness: ``L(a) ⊆ L(b)`` iff no reachable
-    product pair accepts on the left while rejecting on the right.  The
-    witness, when present, is a shortest word in ``L(a) \\ L(b)``.
-
-    Legacy walk; flat analogue: :func:`repro.core.kernels.flat_includes`.
-    """
-    return _product_search(a, b, lambda pa, qb: pa and not qb, cancel=cancel)

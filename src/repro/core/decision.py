@@ -3,104 +3,49 @@
 To decide ``p == q``:
 
 1. normalize both sides into ``x = Σ aᵢ·mᵢ`` and ``y = Σ bⱼ·nⱼ`` (Fig. 8);
-2. make the tests *locally unambiguous* and *pairwise comparable*: partition
-   the state space into "cells", one per Boolean combination of the primitive
-   tests appearing in either normal form — this refines the ``x̂`` / ``ẍ``
-   construction from the completeness proof (the proof combines whole guards
-   ``aᵢ``; assigning the primitive tests underneath them induces a finer
-   partition on which every guard still has a definite truth value, so
-   comparing per refined cell is equivalent);
-3. discard cells whose combination of primitive tests is unsatisfiable, using
-   the client theory's conjunction oracle (``satisfiable_conjunction``);
-4. in every remaining cell, the actions that can run on the left are the
-   ``mᵢ`` whose guard evaluates to true in the cell (similarly on the right);
-   compare the two sums of restricted actions as regular languages — by
-   default on their *compiled* minimized automata (see "the compiled
-   comparison path" below), or with Hopcroft–Karp over Brzozowski
-   derivatives under ``use_compiled=False``.
+2. split the state space into regions on which every guard of either normal
+   form has a definite truth value.  The paper enumerates *cells* — Boolean
+   combinations of the primitive tests under the guards.  The verdict for a
+   cell depends only on which summand guards it enables, so this checker
+   instead asks the DPLL(T) engine (:func:`repro.smt.dpll.enumerate_signatures`,
+   AllSAT with blocking clauses and unit propagation) for the
+   theory-realizable *guard activation signatures* — the distinct truth
+   valuations of the guards — and treats each as one region.  Cells that
+   agree on every guard are never distinguished, which collapses the
+   ``O(2^{2^n})`` blow-up the paper reports for nested sums under star down to
+   the (usually tiny) number of distinct enabled-summand sets;
+3. per signature, compare the sums of enabled restricted actions as regular
+   languages.  Each sum is compiled once into a minimal, canonically trimmed
+   automaton (:mod:`repro.core.compile`); two sums with identical tables
+   denote the same language, and any other pair is settled by a
+   breadth-first product walk that yields a *shortest* distinguishing word
+   (:func:`repro.core.kernels.flat_compare`).
 
-Step 2 admits two strategies, selected by the ``cell_search`` option:
+Everything is memoized in the checker's :class:`repro.engine.cache.EngineCaches`
+bundle — conjunction-oracle calls, predicate satisfiability, per-pair
+normal-form verdicts, per-action-pair comparison verdicts and compiled
+automata — which an :class:`~repro.engine.session.EngineSession` shares across
+queries (a bare checker builds a private one).
 
-* ``"signature"`` (the default) — a *solver-guided guard-signature search*.
-  The verdict for a cell depends only on which summand guards the cell
-  enables, so instead of enumerating the ``2^n`` primitive-test assignments
-  we ask the DPLL(T) engine (:func:`repro.smt.dpll.enumerate_signatures`,
-  AllSAT with blocking clauses and unit propagation) for the
-  theory-realizable *guard activation signatures* — the distinct truth
-  valuations of the guards appearing in either normal form — and run one
-  language comparison per signature.  Comparisons are further memoized on the
-  pair of restricted action sums (the engine layer threads a shared LRU here,
-  so warm sessions skip repeated signatures across queries).  Cells that
-  agree on every guard are never distinguished, which collapses the
-  ``O(2^{2^n})`` blow-up the paper reports for nested sums under star down to
-  the (usually tiny) number of distinct enabled-summand sets.
+The same machinery powers :meth:`EquivalenceChecker.check_inclusion` (``p <=
+q`` decided per signature by product emptiness, with a shortest word in
+``L(left) \\ L(right)`` as witness), :meth:`EquivalenceChecker.member_nf` (is
+a word of primitive actions an action sequence of some summand with a
+satisfiable guard) and :meth:`EquivalenceChecker.is_empty_nf`.
 
-* ``"enumerate"`` — the paper-faithful explicit cell enumeration, worst-case
-  exponential in the number of distinct primitive tests.  It is pruned by
-  checking theory consistency of *partial* assignments when
-  ``prune_unsat_cells`` is set (the unpruned variant is kept for the ablation
-  benchmark), and is retained as the baseline for
-  ``benchmarks/bench_cell_search.py``.
-
-**The compiled comparison path.**  Step 4 no longer walks Brzozowski
-derivatives pairwise: under either strategy, each restricted-action sum is
-*compiled once* into an explicit minimized symbolic automaton
-(:mod:`repro.core.compile` — dense int states, transition arrays in canonical
-alphabet order, accepting bitset, BFS back-pointers) and the per-cell /
-per-signature comparison is a cheap product walk over the two int-indexed
-tables (:func:`~repro.core.compile.compiled_compare`), which also yields a
-*shortest* distinguishing word.  Compiled automata are memoized per action —
-through the engine's ``aut`` LRU when a caches bundle is threaded in (so warm
-sessions reuse minimized automata across queries and signatures), or a
-checker-private memo otherwise.  ``use_compiled=False`` restores the legacy
-derivative-pairwise ``language_compare`` path; the randomized differential
-test in ``tests/test_compile_queries.py`` holds all three
-(signature+compiled, enumerate+compiled, legacy derivative) to identical
-verdicts.
-
-The same compiled IR powers two further queries: :meth:`check_inclusion`
-(``p <= q`` decided per signature by product emptiness,
-:func:`~repro.core.compile.compiled_includes`, with a shortest word in
-``L(left) \\ L(right)`` as witness) and :meth:`member_nf` (is a word of
-primitive actions a possible action sequence of the term — some summand with
-a satisfiable guard whose automaton accepts the word).
-
-Both cell strategies return identical verdicts (the randomized differential
-tests in ``tests/test_decision_signatures.py`` and
-``tests/test_compile_queries.py`` check this).  The signature search never
-performs more comparisons (``cells_explored``), but its solver has its own
-search overhead: on adversarial inputs whose signatures are in bijection
-with the cells (every guard an independent atom) it is a small constant
-factor slower than the enumerator, in exchange for the exponential collapse
-whenever guards share structure.
+The paper's explicit-cell, derivative-based procedure is kept as the
+reference in :mod:`repro.core.oracle`; the differential tests hold this
+checker to it on every query kind.
 """
 
 from __future__ import annotations
 
 from repro.core import terms as T
-from repro.core.automata import (
-    canonical,
-    derivative,
-    language_compare,
-    language_is_empty,
-    nullable,
-)
-from repro.core.compile import compile_automaton, compiled_compare, compiled_includes
+from repro.core.compile import compile_automaton
 from repro.core.kernels import accepts_batch, flat_compare, flat_includes
 from repro.core.pushback import DEFAULT_BUDGET, Normalizer
 from repro.smt.dpll import SignatureSearchStats, enumerate_signatures
-from repro.smt.literals import evaluate
 from repro.utils.trace import current_trace
-
-#: Valid values for the ``cell_search`` option of :class:`EquivalenceChecker`.
-CELL_SEARCH_MODES = ("signature", "enumerate")
-
-#: Valid values for the ``walk_kernel`` option of :class:`EquivalenceChecker`:
-#: ``"flat"`` (default) runs comparisons through the batched flat-table
-#: kernels of :mod:`repro.core.kernels`; ``"legacy"`` keeps the
-#: pair-at-a-time product walk of :mod:`repro.core.compile` as the
-#: differential/ablation oracle.  Irrelevant under ``use_compiled=False``.
-WALK_KERNELS = ("flat", "legacy")
 
 _CACHE_MISS = object()
 
@@ -110,12 +55,12 @@ class Counterexample:
 
     ``cell`` is a tuple of ``(alpha, bool)`` literals — primitive tests and the
     Boolean values they take in the distinguishing cell; ``word`` is a word of
-    primitive actions accepted by exactly one side within that cell.  Under
-    the default signature search the assignment may be *partial*: primitive
-    tests no guard depends on are omitted, and any theory state satisfying the
-    listed literals (regardless of the omitted tests) witnesses the
-    difference.  The ``cell_search="enumerate"`` baseline always produces a
-    total assignment over the primitive tests of both normal forms.
+    primitive actions accepted by exactly one side within that cell.  The
+    signature search may leave the assignment *partial*: primitive tests no
+    guard depends on are omitted, and any theory state satisfying the listed
+    literals (regardless of the omitted tests) witnesses the difference.  The
+    reference enumerator (:mod:`repro.core.oracle`) always produces a total
+    assignment over the primitive tests of both normal forms.
 
     Instances are immutable: results are memoized in shared caches and handed
     to many callers (potentially on different threads), so a mutable witness
@@ -216,13 +161,13 @@ class EquivalenceResult(_FrozenResult):
                  signatures_explored=0, cached=False):
         object.__setattr__(self, "equivalent", equivalent)
         object.__setattr__(self, "counterexample", counterexample)
-        # Language comparisons performed (one per explored cell for the
-        # enumerator; one per un-memoized signature for the signature search).
+        # Language comparisons performed (one per un-memoized signature; one
+        # per explored cell for the reference enumerator).
         object.__setattr__(self, "cells_explored", cells_explored)
         # Branches abandoned because their literals were theory-inconsistent.
         object.__setattr__(self, "cells_pruned", cells_pruned)
-        # Distinct satisfiable guard signatures enumerated (signature search
-        # only; 0 under ``cell_search="enumerate"``).
+        # Distinct satisfiable guard signatures enumerated (0 for the
+        # reference enumerator, which never solves).
         object.__setattr__(self, "signatures_explored", signatures_explored)
         object.__setattr__(self, "cached", cached)
 
@@ -264,62 +209,24 @@ class InclusionResult(_FrozenResult):
 
 
 class EquivalenceChecker:
-    """Decides equivalence, ordering and emptiness of KMT terms for one theory.
+    """Decides equivalence, ordering, membership and emptiness of KMT terms
+    for one theory.
 
-    ``caches`` is an optional engine-layer bundle
-    (:class:`repro.engine.cache.EngineCaches`, duck-typed so the core stays
-    independent of the engine package) providing bounded LRU memo tables for
-    satisfiable-conjunction oracle calls, predicate satisfiability, pairwise
-    normal-form equivalence verdicts, and signature (restricted-action pair)
-    comparison verdicts.  Without it the checker keeps private unbounded memos
-    for the conjunction oracle and the signature comparisons, which already
-    pay off across the many overlapping searches of a single ``partition``
-    call.
-
-    ``cell_search`` selects the strategy for comparing normal forms per
-    Boolean cell: ``"signature"`` (default, solver-guided guard-signature
-    search) or ``"enumerate"`` (explicit cell enumeration, the paper's
-    ablation baseline; ``prune_unsat_cells`` applies to this mode).
-
-    ``use_compiled`` selects how restricted-action sums are compared inside a
-    cell/signature: ``True`` (default) compiles each sum once into a
-    minimized explicit automaton and runs product walks over the int tables
-    (shortest witnesses, cross-query reuse through the ``aut`` cache);
-    ``False`` restores the legacy pairwise Brzozowski-derivative
-    ``language_compare`` path, kept as the differential/ablation baseline.
+    ``caches`` is the engine-layer bundle of bounded LRU memo tables
+    (:class:`repro.engine.cache.EngineCaches`): conjunction-oracle calls,
+    predicate satisfiability, normal-form verdicts, per-action-pair
+    comparison verdicts and compiled automata.  Sessions pass theirs in so
+    every query shares it; without one the checker builds a private bundle.
     ``states_compiled`` counts the raw derivative states explored by this
     checker's compilations (cache hits compile nothing).
-
-    ``walk_kernel`` selects how the compiled product walks run: ``"flat"``
-    (default) uses the batched flat-table kernels
-    (:mod:`repro.core.kernels` — canonical-equality fast path plus the
-    level-synchronous vectorized BFS, numpy-accelerated when importable);
-    ``"legacy"`` keeps the pair-at-a-time FIFO walk of
-    :mod:`repro.core.compile` as the differential/ablation oracle.  Both
-    produce byte-identical verdicts and witness words.
     """
 
-    def __init__(self, theory, budget=DEFAULT_BUDGET, prune_unsat_cells=True, caches=None,
-                 cell_search="signature", use_compiled=True, walk_kernel="flat"):
-        if cell_search not in CELL_SEARCH_MODES:
-            raise ValueError(
-                f"cell_search must be one of {CELL_SEARCH_MODES}, got {cell_search!r}"
-            )
-        if walk_kernel not in WALK_KERNELS:
-            raise ValueError(
-                f"walk_kernel must be one of {WALK_KERNELS}, got {walk_kernel!r}"
-            )
+    def __init__(self, theory, budget=DEFAULT_BUDGET, caches=None):
         self.theory = theory
         self.budget = budget
-        self.prune_unsat_cells = prune_unsat_cells
-        self.caches = caches
-        self.cell_search = cell_search
-        self.use_compiled = use_compiled
-        self.walk_kernel = walk_kernel
+        # A bundle is always truthy (EngineCaches defines no __len__).
+        self.caches = caches or _private_caches()
         self.states_compiled = 0
-        self._sat_memo = {}
-        self._compare_memo = {}
-        self._aut_memo = {}
 
     # ------------------------------------------------------------------
     # normalization helpers
@@ -344,59 +251,24 @@ class EquivalenceChecker:
         """Compare two already-normalized terms.
 
         ``cancel`` is an optional cooperative-cancellation callable threaded
-        into the signature/cell search and every language comparison; it
-        aborts the query by raising (see
-        :class:`~repro.utils.errors.QueryCancelled`).  Replayed verdicts are
-        returned as copies flagged ``cached=True`` so callers can tell stored
-        exploration counters from fresh work.
+        into the signature search and every language comparison; it aborts
+        the query by raising (see :class:`~repro.utils.errors.QueryCancelled`).
+        Replayed verdicts are returned as copies flagged ``cached=True`` so
+        callers can tell stored exploration counters from fresh work.
         """
-        equiv_cache = self.caches.equiv if self.caches is not None else None
-        key = None
-        if equiv_cache is not None:
-            key = self.caches.nf_pair_key(x, y)
-            cached = equiv_cache.get(key, _CACHE_MISS)
-            if cached is not _CACHE_MISS:
-                return cached.as_cached()
-            # Equivalence is symmetric; a positive verdict for (y, x) carries
-            # over directly (a counterexample would need its sides swapped, so
-            # negative verdicts are only reused in the queried orientation).
-            mirrored = equiv_cache.get(self.caches.nf_pair_key(y, x), _CACHE_MISS)
-            if mirrored is not _CACHE_MISS and mirrored.equivalent:
-                return mirrored.as_cached()
-        comparer = self._comparer("equiv", cancel)
-        if self.cell_search == "enumerate":
-            atoms = _collect_atoms(x, y)
-            search = _CellSearch(
-                self.theory, atoms, x, y, self.prune_unsat_cells,
-                sat_memo=self._conjunction_memo(),
-                compare=comparer,
-                cancel=cancel,
-            )
-            counterexample = search.run()
-            result = EquivalenceResult(
-                equivalent=counterexample is None,
-                counterexample=counterexample,
-                cells_explored=search.cells_explored,
-                cells_pruned=search.cells_pruned,
-            )
-        else:
-            search = _SignatureSearch(
-                self.theory, x, y,
-                sat_memo=self._conjunction_memo(),
-                compare=comparer,
-                cancel=cancel,
-            )
-            counterexample = search.run()
-            result = EquivalenceResult(
-                equivalent=counterexample is None,
-                counterexample=counterexample,
-                cells_explored=comparer.comparisons,
-                cells_pruned=search.stats.theory_pruned,
-                signatures_explored=search.signatures_explored,
-            )
-        if equiv_cache is not None:
-            equiv_cache.put(key, result)
-        return result
+        equiv = self.caches.equiv
+        key = self.caches.nf_pair_key(x, y)
+        cached = equiv.get(key, _CACHE_MISS)
+        if cached is not _CACHE_MISS:
+            return cached.as_cached()
+        # Equivalence is symmetric; a positive verdict for (y, x) carries
+        # over directly (a counterexample would need its sides swapped, so
+        # negative verdicts are only reused in the queried orientation).
+        mirrored = equiv.get(self.caches.nf_pair_key(y, x), _CACHE_MISS)
+        if mirrored is not _CACHE_MISS and mirrored.equivalent:
+            return mirrored.as_cached()
+        return self._decide(EquivalenceResult, self._comparer("equiv", cancel),
+                            x, y, key, cancel)
 
     # ------------------------------------------------------------------
     # inclusion
@@ -410,59 +282,37 @@ class EquivalenceChecker:
         return self.check_inclusion_nf(self.normalize(p), self.normalize(q))
 
     def check_inclusion_nf(self, x, y, cancel=None):
-        """Decide per-cell language containment of two normal forms.
+        """Decide per-signature language containment of two normal forms.
 
         ``p <= q`` in the natural order iff in every satisfiable cell the
         restricted actions enabled on the left denote a sublanguage of those
         enabled on the right (``p + q == q`` holds exactly then), so the same
-        cell/signature search as equivalence applies, with
-        :func:`~repro.core.compile.compiled_includes` (product emptiness) as
-        the per-cell comparison.  Unlike :meth:`less_or_equal` this needs no
+        signature search as equivalence applies, with product emptiness
+        (:func:`~repro.core.kernels.flat_includes`) as the per-signature
+        comparison.  Unlike :meth:`less_or_equal` this needs no
         re-normalization of ``p + q``, and a failure carries a shortest
         witness word in ``L(left) \\ L(right)``.
         """
-        equiv_cache = self.caches.equiv if self.caches is not None else None
-        key = None
-        if equiv_cache is not None:
-            # Inclusion verdicts share the equivalence LRU under a tagged key
-            # (it memoizes the same kind of object: a per-NF-pair verdict).
-            key = ("incl", self.caches.nf_pair_key(x, y))
-            cached = equiv_cache.get(key, _CACHE_MISS)
-            if cached is not _CACHE_MISS:
-                return cached.as_cached()
-        comparer = self._comparer("incl", cancel)
-        if self.cell_search == "enumerate":
-            atoms = _collect_atoms(x, y)
-            search = _CellSearch(
-                self.theory, atoms, x, y, self.prune_unsat_cells,
-                sat_memo=self._conjunction_memo(),
-                compare=comparer,
-                cancel=cancel,
-            )
-            counterexample = search.run()
-            result = InclusionResult(
-                includes=counterexample is None,
-                counterexample=counterexample,
-                cells_explored=search.cells_explored,
-                cells_pruned=search.cells_pruned,
-            )
-        else:
-            search = _SignatureSearch(
-                self.theory, x, y,
-                sat_memo=self._conjunction_memo(),
-                compare=comparer,
-                cancel=cancel,
-            )
-            counterexample = search.run()
-            result = InclusionResult(
-                includes=counterexample is None,
-                counterexample=counterexample,
-                cells_explored=comparer.comparisons,
-                cells_pruned=search.stats.theory_pruned,
-                signatures_explored=search.signatures_explored,
-            )
-        if equiv_cache is not None:
-            equiv_cache.put(key, result)
+        # Inclusion verdicts share the equivalence LRU under a tagged key (it
+        # memoizes the same kind of object: a per-NF-pair verdict).
+        key = ("incl", self.caches.nf_pair_key(x, y))
+        cached = self.caches.equiv.get(key, _CACHE_MISS)
+        if cached is not _CACHE_MISS:
+            return cached.as_cached()
+        return self._decide(InclusionResult, self._comparer("incl", cancel),
+                            x, y, key, cancel)
+
+    def _decide(self, result_type, comparer, x, y, key, cancel):
+        search = _SignatureSearch(self.theory, x, y, self.caches.sat_conj, comparer, cancel)
+        counterexample = search.run()
+        result = result_type(
+            counterexample is None,
+            counterexample=counterexample,
+            cells_explored=comparer.comparisons,
+            cells_pruned=search.stats.theory_pruned,
+            signatures_explored=search.signatures_explored,
+        )
+        self.caches.equiv.put(key, result)
         return result
 
     # ------------------------------------------------------------------
@@ -479,12 +329,8 @@ class EquivalenceChecker:
         """
         word = tuple(word)
         for test, action in x.sorted_pairs():
-            if not self._satisfiable_pred(test):
-                continue
-            if self.use_compiled:
-                if self._compile_cached(action, cancel).accepts(word):
-                    return True
-            elif _derivative_accepts(action, word):
+            if self._satisfiable_pred(test) and \
+                    self._compile_cached(action, cancel).accepts(word):
                 return True
         return False
 
@@ -495,10 +341,7 @@ class EquivalenceChecker:
         identical to ``[self.member_nf(x, w) for w in words]``, but each
         summand's compiled automaton judges every still-undecided word in a
         single :func:`repro.core.kernels.accepts_batch` call (words already
-        accepted by an earlier summand are not re-tested).  Under
-        ``walk_kernel="legacy"`` or ``use_compiled=False`` the per-word
-        oracles run in a loop, keeping the batched entry point available as
-        an ablation.
+        accepted by an earlier summand are not re-tested).
         """
         words = [tuple(word) for word in words]
         verdicts = [False] * len(words)
@@ -508,15 +351,8 @@ class EquivalenceChecker:
                 break
             if not self._satisfiable_pred(test):
                 continue
-            subset = [words[i] for i in pending]
-            if self.use_compiled:
-                automaton = self._compile_cached(action, cancel)
-                if self.walk_kernel == "flat":
-                    accepted = accepts_batch(automaton, subset, cancel=cancel)
-                else:
-                    accepted = [automaton.accepts(word) for word in subset]
-            else:
-                accepted = [_derivative_accepts(action, word) for word in subset]
+            automaton = self._compile_cached(action, cancel)
+            accepted = accepts_batch(automaton, [words[i] for i in pending], cancel=cancel)
             still = []
             for i, ok in zip(pending, accepted):
                 if ok:
@@ -530,34 +366,22 @@ class EquivalenceChecker:
     # compiled-automaton plumbing
     # ------------------------------------------------------------------
     def _compile_cached(self, action, cancel=None):
-        """The compiled (minimized) automaton of a restricted action.
-
-        Memoized through the engine's ``aut`` LRU when a caches bundle is
-        present (keyed by the action's stable fingerprint, so warm sessions
-        reuse automata across queries), else a checker-private memo keyed by
-        the hash-consed action itself.
-        """
+        """The compiled (minimized) automaton of a restricted action,
+        memoized in the ``aut`` LRU under the action's stable fingerprint (so
+        warm sessions reuse automata across queries)."""
         caches = self.caches
-        memo = self._aut_memo
-        key = action
-        pool = None
-        if caches is not None:
-            aut = getattr(caches, "aut", None)
-            if aut is not None:
-                memo = aut
-                key = caches.term_key(action)
-            pool = getattr(caches, "arenas", None)
-        cached = _memo_get(memo, key)
+        key = caches.term_key(action)
+        cached = caches.aut.get(key, _CACHE_MISS)
         if cached is not _CACHE_MISS:
             return cached
         trace = current_trace()
         if trace is None:
-            automaton = compile_automaton(action, cancel=cancel, pool=pool)
+            automaton = compile_automaton(action, cancel=cancel, pool=caches.arenas)
         else:
             with trace.span("compile"):
-                automaton = compile_automaton(action, cancel=cancel, pool=pool)
+                automaton = compile_automaton(action, cancel=cancel, pool=caches.arenas)
         self.states_compiled += automaton.raw_states
-        _memo_put(memo, key, automaton)
+        caches.aut.put(key, automaton)
         return automaton
 
     def _comparer(self, kind, cancel):
@@ -565,68 +389,24 @@ class EquivalenceChecker:
 
         ``"equiv"`` compares languages for equality (symmetric: a positive
         verdict for the mirrored pair is reused); ``"incl"`` for containment
-        (asymmetric).  Verdicts are memoized in the shared ``sig`` LRU when a
-        caches bundle is threaded in — inclusion verdicts under a tagged key
-        so the two kinds never collide.
+        (asymmetric).  Verdicts are memoized in the ``sig`` LRU, inclusion
+        verdicts under a tagged key so the two kinds never collide.
         """
-        memo = self._signature_memo()
-        base_key = self._signature_key()
-        compare_kernel, includes_kernel = (
-            (flat_compare, flat_includes)
-            if self.walk_kernel == "flat"
-            else (compiled_compare, compiled_includes)
-        )
+        pair_key = self.caches.action_pair_key
         if kind == "incl":
-            if self.use_compiled:
-                def run(left, right):
-                    return includes_kernel(
-                        self._compile_cached(left, cancel),
-                        self._compile_cached(right, cancel),
-                        cancel=cancel,
-                    )
-            else:
-                def run(left, right):
-                    # L(l) <= L(r) iff L(l + r) == L(r); a distinguishing
-                    # word lies in the union but not in L(r), i.e. exactly
-                    # in L(l) \ L(r) — the same witness shape the compiled
-                    # containment produces.
-                    return language_compare(T.tplus(left, right), right, cancel=cancel)
+            def run(left, right):
+                return flat_includes(self._compile_cached(left, cancel),
+                                     self._compile_cached(right, cancel), cancel=cancel)
+
             return _MemoizedComparison(
-                run, memo, lambda l, r: ("incl", base_key(l, r)), symmetric=False
+                run, self.caches.sig, lambda l, r: ("incl", pair_key(l, r)), symmetric=False
             )
-        if self.use_compiled:
-            def run(left, right):
-                return compare_kernel(
-                    self._compile_cached(left, cancel),
-                    self._compile_cached(right, cancel),
-                    cancel=cancel,
-                )
-        else:
-            def run(left, right):
-                return language_compare(left, right, cancel=cancel)
-        return _MemoizedComparison(run, memo, base_key, symmetric=True)
 
-    def _conjunction_memo(self):
-        if self.caches is not None:
-            return self.caches.sat_conj
-        return self._sat_memo
+        def run(left, right):
+            return flat_compare(self._compile_cached(left, cancel),
+                                self._compile_cached(right, cancel), cancel=cancel)
 
-    def _signature_memo(self):
-        caches = self.caches
-        if caches is not None:
-            sig = getattr(caches, "sig", None)
-            if sig is not None:
-                return sig
-        return self._compare_memo
-
-    def _signature_key(self):
-        caches = self.caches
-        if caches is not None:
-            key = getattr(caches, "action_pair_key", None)
-            if key is not None:
-                return key
-        # Restricted actions are hash-consed, so the pair itself is a fine key.
-        return lambda left, right: (left, right)
+        return _MemoizedComparison(run, self.caches.sig, pair_key, symmetric=True)
 
     # ------------------------------------------------------------------
     # derived queries
@@ -646,26 +426,18 @@ class EquivalenceChecker:
     def is_empty_nf(self, x, cancel=None):
         """Emptiness of an already-normalized term (see :meth:`is_empty`).
 
-        Under the compiled path an action's emptiness is a field read on its
-        cached automaton (no accepting bit set); ``use_compiled=False`` keeps
-        the legacy derivative reachability search.  ``cancel`` cooperatively
-        aborts compilation (a deadline must be able to interrupt the
-        derivative BFS on a large action, same as on the equivalence path).
+        An action's emptiness is a field read on its cached automaton (no
+        accepting bit set).  ``cancel`` cooperatively aborts compilation (a
+        deadline must be able to interrupt the derivative BFS on a large
+        action, same as on the equivalence path).
         """
         for test, action in x.pairs:
-            if not self._satisfiable_pred(test):
-                continue
-            if self.use_compiled:
-                if self._compile_cached(action, cancel).is_empty():
-                    continue
-            elif language_is_empty(action):
-                continue
-            return False
+            if self._satisfiable_pred(test) and \
+                    not self._compile_cached(action, cancel).is_empty():
+                return False
         return True
 
     def _satisfiable_pred(self, test):
-        if self.caches is None:
-            return self.theory.satisfiable(test)
         return self.caches.sat_pred.get_or_compute(
             self.caches.pred_key(test), lambda: self.theory.satisfiable(test)
         )
@@ -694,61 +466,38 @@ class EquivalenceChecker:
 
 
 # ---------------------------------------------------------------------------
-# cell enumeration
+# memoized comparisons
 # ---------------------------------------------------------------------------
 
 
-def _collect_atoms(x, y):
-    """All primitive tests underneath the guards of two normal forms, sorted."""
-    atoms = set()
-    for nf in (x, y):
-        for test, _ in nf.pairs:
-            atoms |= T.primitive_tests_of_pred(test)
-    wrapped = sorted((T.pprim(a) for a in atoms), key=lambda p: p.sort_key())
-    return [p.alpha for p in wrapped]
+def _private_caches():
+    """A fresh caches bundle for a checker built without one."""
+    # Imported here: the engine package imports this module while it
+    # initializes, so a module-level import would be circular.
+    from repro.engine.cache import EngineCaches
 
-
-def _derivative_accepts(action, word):
-    """Legacy word membership: walk the derivatives (``use_compiled=False``)."""
-    state = canonical(action)
-    for pi in word:
-        state = derivative(state, pi)
-    return nullable(state)
-
-
-def _memo_get(memo, key):
-    """Lookup in a plain dict or any ``get``/``put`` mapping (``_CACHE_MISS`` on miss)."""
-    return memo.get(key, _CACHE_MISS)
-
-
-def _memo_put(memo, key, value):
-    put = getattr(memo, "put", None)
-    if put is not None:
-        put(key, value)
-    else:
-        memo[key] = value
+    return EngineCaches()
 
 
 def _memoized_conjunction_oracle(theory, memo):
     """Wrap ``theory.satisfiable_conjunction`` with a shared memo.
 
     ``memo`` is keyed by the *set* of literals (satisfiability is
-    order-independent) and may be a plain dict or any ``get``/``put`` mapping
-    (e.g. a bounded LRU).  The same conjunctions recur constantly across the
-    cell/signature searches of sibling queries — most visibly in
-    ``partition`` and in warm engine sessions — so the memo is shared at the
-    checker/engine level.
+    order-independent).  The same conjunctions recur constantly across the
+    signature searches of sibling queries — most visibly in ``partition`` and
+    in warm engine sessions — so the memo is the caches bundle's
+    ``sat_conj`` LRU.
     """
 
     def satisfiable(literals):
         if not literals:
             return True
         key = frozenset(literals)
-        cached = _memo_get(memo, key)
+        cached = memo.get(key, _CACHE_MISS)
         if cached is not _CACHE_MISS:
             return cached
         value = theory.satisfiable_conjunction(literals)
-        _memo_put(memo, key, value)
+        memo.put(key, value)
         return value
 
     return satisfiable
@@ -757,15 +506,14 @@ def _memoized_conjunction_oracle(theory, memo):
 class _MemoizedComparison:
     """A per-restricted-action-pair language comparison with a verdict memo.
 
-    ``run(left, right)`` produces the raw ``(ok, word)`` verdict (compiled
-    product walk, legacy ``language_compare``, or compiled containment);
-    verdicts are memoized under ``key_fn(left, right)`` — the engine layer
-    passes a bounded LRU shared across queries here, so warm sessions skip
-    repeated comparisons entirely.  ``symmetric=True`` additionally reuses a
-    *positive* verdict for the mirrored pair (sound for equivalence: a
-    witness word would need its sides swapped, so negative verdicts are only
-    reused in the queried orientation; containment is not symmetric at all).
-    ``comparisons`` counts actual ``run`` invocations (memo misses).
+    ``run(left, right)`` produces the raw ``(ok, word)`` verdict; verdicts
+    are memoized in ``memo`` (the ``sig`` LRU, shared across queries) under
+    ``key_fn(left, right)``, so warm sessions skip repeated comparisons
+    entirely.  ``symmetric=True`` additionally reuses a *positive* verdict
+    for the mirrored pair (sound for equivalence: a witness word would need
+    its sides swapped, so negative verdicts are only reused in the queried
+    orientation; containment is not symmetric at all).  ``comparisons``
+    counts actual ``run`` invocations (memo misses).
     """
 
     __slots__ = ("run", "memo", "key_fn", "symmetric", "comparisons")
@@ -788,14 +536,14 @@ class _MemoizedComparison:
                 trace.count("compare_reflexive")
             return (True, None)
         key = self.key_fn(left, right)
-        cached = _memo_get(self.memo, key)
+        cached = self.memo.get(key, _CACHE_MISS)
         if cached is not _CACHE_MISS:
             trace = current_trace()
             if trace is not None:
                 trace.count("compare_memo_hits")
             return cached
         if self.symmetric:
-            mirrored = _memo_get(self.memo, self.key_fn(right, left))
+            mirrored = self.memo.get(self.key_fn(right, left), _CACHE_MISS)
             if mirrored is not _CACHE_MISS and mirrored[0]:
                 trace = current_trace()
                 if trace is not None:
@@ -808,83 +556,8 @@ class _MemoizedComparison:
         else:
             with trace.span("compare"):
                 verdict = self.run(left, right)
-        _memo_put(self.memo, key, verdict)
+        self.memo.put(key, verdict)
         return verdict
-
-
-class _CellSearch:
-    """Recursive enumeration of primitive-test cells with consistency pruning.
-
-    The ablation baseline behind ``cell_search="enumerate"``: one language
-    comparison per satisfiable total assignment of the primitive tests
-    (``compare`` is a :class:`_MemoizedComparison`, so repeated action pairs
-    are still served from the verdict memo).  See
-    :func:`_memoized_conjunction_oracle` for the ``sat_memo`` protocol.
-    """
-
-    def __init__(self, theory, atoms, x, y, prune, sat_memo=None, compare=None, cancel=None):
-        self.theory = theory
-        self.atoms = atoms
-        self.x = x
-        self.y = y
-        self.prune = prune
-        self._satisfiable = _memoized_conjunction_oracle(
-            theory, {} if sat_memo is None else sat_memo
-        )
-        self.compare = compare if compare is not None else (
-            lambda left, right: language_compare(left, right, cancel=cancel)
-        )
-        self.cancel = cancel
-        self.cells_explored = 0
-        self.cells_pruned = 0
-
-    def run(self):
-        trace = current_trace()
-        if trace is None:
-            return self._go(0, [])
-        # "signatures" covers both search strategies: it is the enumeration
-        # phase of the decision procedure (cells are the ablation analogue of
-        # signatures), and downstream phase names stay strategy-independent.
-        with trace.span("signatures"):
-            return self._go(0, [])
-
-    def _go(self, index, literals):
-        if self.prune and literals:
-            if not self._satisfiable(literals):
-                self.cells_pruned += 1
-                return None
-        if index == len(self.atoms):
-            if not self.prune and literals:
-                if not self._satisfiable(literals):
-                    self.cells_pruned += 1
-                    return None
-            return self._compare_cell(literals)
-        alpha = self.atoms[index]
-        for value in (True, False):
-            found = self._go(index + 1, literals + [(alpha, value)])
-            if found is not None:
-                return found
-        return None
-
-    def _compare_cell(self, literals):
-        if self.cancel is not None:
-            self.cancel()
-        self.cells_explored += 1
-        assignment = {alpha: value for alpha, value in literals}
-        left = T.tplus_all(
-            action
-            for test, action in self.x.sorted_pairs()
-            if evaluate(test, assignment)
-        )
-        right = T.tplus_all(
-            action
-            for test, action in self.y.sorted_pairs()
-            if evaluate(test, assignment)
-        )
-        ok, word = self.compare(left, right)
-        if ok:
-            return None
-        return Counterexample(literals, left, right, word)
 
 
 # ---------------------------------------------------------------------------
@@ -900,25 +573,20 @@ class _SignatureSearch:
     (:func:`repro.smt.dpll.enumerate_signatures`).  Every cell with the same
     signature enables the same summands on each side, so one language
     comparison per signature decides all of its cells at once; ``compare`` is
-    a :class:`_MemoizedComparison` (the engine layer threads a bounded LRU
-    through it, so warm sessions skip repeated signatures entirely).
+    a :class:`_MemoizedComparison`.
 
     A counterexample's cell is the (possibly partial, theory-satisfiable)
     witness assignment returned by the enumerator; primitive tests no guard
     depends on are genuinely irrelevant to the verdict and stay undecided.
     """
 
-    def __init__(self, theory, x, y, sat_memo=None, compare=None, cancel=None):
+    def __init__(self, theory, x, y, sat_memo, compare, cancel=None):
         self.theory = theory
         self.left_pairs = x.sorted_pairs()
         self.right_pairs = y.sorted_pairs()
-        self._satisfiable = _memoized_conjunction_oracle(
-            theory, {} if sat_memo is None else sat_memo
-        )
+        self._satisfiable = _memoized_conjunction_oracle(theory, sat_memo)
         self.cancel = cancel
-        self.compare = compare if compare is not None else (
-            lambda left, right: language_compare(left, right, cancel=cancel)
-        )
+        self.compare = compare
         guards = []
         guard_slot = {}
         def slot(test):

@@ -1,71 +1,38 @@
-"""Batched product-walk and membership kernels over the flat automaton IR.
+"""Language comparisons and batched membership over compiled automata.
 
-The legacy product walk (:mod:`repro.core.compile`) pops one product pair at
-a time off a FIFO queue — per-pair Python overhead on what is, after PR 5,
-pure int arithmetic over flat tables.  This module reformulates the walks as
-**batched kernels** over the contiguous ``array('i')`` arenas:
+The decision procedure's per-signature comparisons run here, on the flat
+tables of :mod:`repro.core.compile`:
 
 * :func:`flat_compare` / :func:`flat_includes` — language equivalence /
-  containment.  Two layers:
+  containment, in two steps:
 
   1. a **canonical-equality fast path**: minimization + canonical trimming
      (see :func:`repro.core.compile._minimized`) make the compiled artifact a
      canonical value of its language, so *equal tables ⇔ equal languages* —
      the hot case (warm caches, equivalent sums) is decided by comparing two
      flat buffers, no walk at all;
-  2. a **level-synchronous batched BFS** for the rest: the whole frontier
-     steps under every merged symbol in one shot (numpy fancy-indexing into
-     padded successor tables when numpy is importable; the pure-Python
-     pair-at-a-time walk otherwise).  Discovery order, verdicts and shortest
-     witness words are byte-identical to the legacy walk — the level BFS
-     flattens each frontier's children row-major (exactly the legacy enqueue
-     order) and dedupes by first occurrence.
+  2. otherwise a breadth-first **product walk**, one pair of states at a
+     time, which stops at the first pair that accepts on one side only (on
+     the left only, for containment) and returns the word that reached it —
+     a *shortest* witness, since the walk is breadth-first.
 
 * :func:`accepts_batch` — judge many words against one automaton in a single
-  call: the transition table is padded with a dead row (unknown symbols) and
-  an identity column (past-end padding), then all words advance one position
-  per step through one fancy-indexing gather.
+  call.
 
-Every kernel runs under a ``kernel`` trace phase and emits counters
-(``kernel_fastpath_hits``, ``kernel_levels``, ``kernel_pairs``,
-``kernel_batch_words``, ``kernel_walk_fallbacks``) so traces attribute walk
-time precisely.  Cooperative cancellation is checked once per BFS level /
-batch step — the same deadline granularity the legacy walk offers per pair.
-
-numpy is optional: :data:`HAVE_NUMPY` records whether the accelerated paths
-are active; without it the kernels keep identical semantics through the
-pure-``array`` fallbacks (the equality fast path needs no numpy at all).
+Every entry point runs under a ``kernel`` trace phase and emits counters
+(``kernel_fastpath_hits``, ``kernel_walk_fallbacks`` when the fast path
+missed and a product walk ran, ``kernel_batch_words``) so traces attribute
+walk time precisely.  Cooperative cancellation is checked once per product
+pair / per word.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.core.arena import sigma_index
-from repro.core.compile import _merged_sigma, _product_search_untraced
+from repro.core.compile import _DEAD
 from repro.utils.trace import current_trace
-
-try:  # pragma: no cover - exercised via the forced-fallback tests
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    _np = None
-    HAVE_NUMPY = False
-
-_DEAD = -1
-
-#: Below this many product-pair codes the vectorized BFS's per-level overhead
-#: (``unique`` + ``argsort`` on tiny frontiers) costs more than walking the
-#: whole product pair-at-a-time; route small walks to the legacy loop.  Tests
-#: monkeypatch this to 0 to force vectorized coverage on small automata.
-_BFS_NUMPY_MIN_PAIRS = 4096
-
-#: Above this many product-pair codes the dense ``seen`` bitmap of the
-#: vectorized BFS would dominate memory; fall back to the set-based walk.
-_SEEN_DENSE_LIMIT = 1 << 24
-
-#: Below this many words the padded-table membership gather costs more to set
-#: up than the plain per-word loop.
-_BATCH_NUMPY_MIN = 8
 
 
 def _count(name, n=1):
@@ -79,8 +46,8 @@ def _tables_equal(a, b):
 
     Sound for any pair (same alphabet + same table = same DFA); *complete*
     only for canonically trimmed minimal automata, which is what
-    ``compile_automaton`` produces — the BFS below settles inequality either
-    way, so completeness is a speed matter, not a correctness one.
+    ``compile_automaton`` produces — the product walk settles inequality
+    either way, so completeness is a speed matter, not a correctness one.
     """
     return (
         a.n_states == b.n_states
@@ -96,11 +63,9 @@ def _tables_equal(a, b):
 
 
 def flat_compare(a, b, cancel=None):
-    """Decide ``L(a) == L(b)`` on the flat kernel; returns ``(equivalent, word)``.
+    """Decide ``L(a) == L(b)``; returns ``(equivalent, word)``.
 
-    Byte-identical verdicts and (shortest) witness words to
-    :func:`repro.core.compile.compiled_compare` — the differential suite in
-    ``tests/test_kernels.py`` holds the two to equality.
+    The word, when present, is a shortest word accepted by exactly one side.
     """
     trace = current_trace()
     if trace is None:
@@ -113,14 +78,14 @@ def _flat_compare(a, b, cancel):
     if a is b or _tables_equal(a, b):
         _count("kernel_fastpath_hits")
         return True, None
-    return _batched_search(a, b, "compare", cancel)
+    _count("kernel_walk_fallbacks")
+    return _product_search(a, b, lambda pa, qb: pa != qb, cancel)
 
 
 def flat_includes(a, b, cancel=None):
-    """Decide ``L(a) <= L(b)`` on the flat kernel; returns ``(included, word)``.
+    """Decide ``L(a) <= L(b)``; returns ``(included, word)``.
 
-    Flat analogue of :func:`repro.core.compile.compiled_includes`, with the
-    same witness guarantees.
+    The word, when present, is a shortest word in ``L(a) \\ L(b)``.
     """
     trace = current_trace()
     if trace is None:
@@ -135,114 +100,58 @@ def _flat_includes(a, b, cancel):
         # included, no walk needed.
         _count("kernel_fastpath_hits")
         return True, None
-    return _batched_search(a, b, "includes", cancel)
-
-
-def _batched_search(a, b, kind, cancel):
-    """Dispatch the product BFS: vectorized when numpy fits, else legacy walk."""
-    codes = (a.n_states + 1) * (b.n_states + 1)
-    if _np is not None and _BFS_NUMPY_MIN_PAIRS <= codes <= _SEEN_DENSE_LIMIT:
-        return _level_bfs_numpy(a, b, kind, cancel)
     _count("kernel_walk_fallbacks")
-    if kind == "compare":
-        return _product_search_untraced(a, b, lambda pa, qb: pa != qb, cancel)
-    return _product_search_untraced(a, b, lambda pa, qb: pa and not qb, cancel)
+    return _product_search(a, b, lambda pa, qb: pa and not qb, cancel)
 
 
-def _accepting_vector(aut, np):
-    """Bool vector over padded state codes: index 0 is the dead sink."""
-    bits = np.zeros(aut.n_states + 1, dtype=bool)
-    accepting = aut.accepting
-    for s in range(aut.n_states):
-        if (accepting >> s) & 1:
-            bits[s + 1] = True
-    return bits
+def _merged_sigma(a, b):
+    """The two automata's alphabets merged in canonical order, plus the
+    per-automaton symbol-index maps (``_DEAD`` marks an absent symbol)."""
+    index_a = sigma_index(a.sigma)
+    index_b = sigma_index(b.sigma)
+    if a.sigma == b.sigma:
+        merged = a.sigma
+    else:
+        merged = tuple(sorted(set(a.sigma) | set(b.sigma), key=repr))
+    map_a = tuple(index_a.get(pi, _DEAD) for pi in merged)
+    map_b = tuple(index_b.get(pi, _DEAD) for pi in merged)
+    return merged, map_a, map_b
 
 
-def _padded_table(aut, merged_map, np):
-    """Successor table over padded codes: ``T[p1, k]`` is the padded successor
-    of padded state ``p1`` (0 = dead) under the ``k``-th *merged* symbol,
-    scaled for pair-code arithmetic by the caller.  Absent symbols and the
-    dead row map to 0."""
-    n = aut.n_states
-    nsym = len(aut.sigma)
-    table = np.zeros((n + 1, len(merged_map)), dtype=np.int64)
-    if n and nsym:
-        rows = np.frombuffer(aut.delta, dtype=np.intc).reshape(n, nsym)
-        for k, local in enumerate(merged_map):
-            if local != _DEAD:
-                table[1:, k] = rows[:, local].astype(np.int64) + 1
-    return table
+def _product_search(a, b, mismatch, cancel):
+    """BFS over the product automaton for the first ``mismatch`` pair.
 
-
-def _level_bfs_numpy(a, b, kind, cancel):
-    """Level-synchronous vectorized product BFS.
-
-    Reproduces the legacy FIFO walk's discovery order exactly: the frontier's
-    children matrix (frontier-major, merged-symbol-minor) flattens row-major
-    to the legacy enqueue order; ``np.unique(..., return_index=True)`` plus a
-    sort on first occurrence keeps the earliest discovery of each pair; the
-    joint-dead pair is pre-marked seen (the legacy walk never enqueues it).
-    Mismatches are scanned per level in frontier order, so the first hit is
-    the same pair — and hence the same shortest witness word — the legacy
-    walk would report.
+    ``mismatch(acc_a, acc_b)`` decides whether a product state is a witness;
+    the returned word is shortest because the walk is breadth-first.  A
+    symbol missing from one alphabet sends that side to the dead sink; the
+    joint dead pair is never enqueued (nothing past it can mismatch).
+    Returns ``(True, None)`` when no reachable pair mismatches, else
+    ``(False, word)``.
     """
-    np = _np
     merged, map_a, map_b = _merged_sigma(a, b)
-    nsym = len(merged)
-    width = b.n_states + 1  # pair code = p1 * width + q1 (0 = dead component)
-    table_a = _padded_table(a, map_a, np) * width
-    table_b = _padded_table(b, map_b, np)
-    acc_a = _accepting_vector(a, np)
-    acc_b = _accepting_vector(b, np)
-    seen = np.zeros((a.n_states + 1) * width, dtype=bool)
-    seen[0] = True  # joint dead sink: nothing past it can mismatch
-    start = (a.initial + 1) * width + (b.initial + 1)
-    seen[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    frontiers = [frontier]
-    parents = [None]  # per level: flat child index into the previous frontier
-    while frontier.size:
+    nsa = len(a.sigma)
+    nsb = len(b.sigma)
+    da = a.delta
+    db = b.delta
+    start = (a.initial, b.initial)
+    seen = {start}
+    queue = deque([((), a.initial, b.initial)])
+    while queue:
+        word, p, q = queue.popleft()
         if cancel is not None:
             cancel()
-        _count("kernel_levels")
-        p1 = frontier // width
-        q1 = frontier % width
-        left_acc = acc_a[p1]
-        right_acc = acc_b[q1]
-        if kind == "compare":
-            mismatch = left_acc != right_acc
-        else:
-            mismatch = left_acc & ~right_acc
-        hits = np.nonzero(mismatch)[0]
-        if hits.size:
-            return False, _witness(frontiers, parents, int(hits[0]), merged, nsym)
-        if nsym == 0:
-            break
-        children = table_a[p1] + table_b[q1]  # (frontier, nsym) pair codes
-        flat = children.ravel()  # row-major == legacy enqueue order
-        uniq, first = np.unique(flat, return_index=True)
-        fresh = ~seen[uniq]
-        uniq = uniq[fresh]
-        first = first[fresh]
-        order = np.argsort(first)
-        frontier = uniq[order]
-        seen[frontier] = True
-        _count("kernel_pairs", int(frontier.size))
-        frontiers.append(frontier)
-        parents.append(first[order])
+        if mismatch(a.is_accepting(p), b.is_accepting(q)):
+            return False, word
+        for k, pi in enumerate(merged):
+            ka, kb = map_a[k], map_b[k]
+            dp = _DEAD if (p == _DEAD or ka == _DEAD) else da[p * nsa + ka]
+            dq = _DEAD if (q == _DEAD or kb == _DEAD) else db[q * nsb + kb]
+            if dp == _DEAD and dq == _DEAD:
+                continue
+            if (dp, dq) not in seen:
+                seen.add((dp, dq))
+                queue.append((word + (pi,), dp, dq))
     return True, None
-
-
-def _witness(frontiers, parents, position, merged, nsym):
-    """Read a shortest witness word off the per-level discovery records."""
-    word = []
-    for level in range(len(frontiers) - 1, 0, -1):
-        flat_index = int(parents[level][position])
-        word.append(merged[flat_index % nsym])
-        position = flat_index // nsym
-    word.reverse()
-    return tuple(word)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +162,8 @@ def _witness(frontiers, parents, position, merged, nsym):
 def accepts_batch(aut, words, cancel=None):
     """Judge many words against one automaton in a single call.
 
-    Returns a list of bools aligned with ``words``.  Semantics are exactly
-    ``[aut.accepts(w) for w in words]``; the numpy path pads the transition
-    table with a dead row (unknown symbols) and an identity column (past-end
-    padding) and advances every word one position per gather.  ``cancel`` is
-    checked once per word (fallback) or per position step (vectorized).
+    Returns a list of bools aligned with ``words``, exactly
+    ``[aut.accepts(w) for w in words]``; ``cancel`` is checked once per word.
     """
     words = [tuple(word) for word in words]
     trace = current_trace()
@@ -269,45 +175,9 @@ def accepts_batch(aut, words, cancel=None):
 
 def _accepts_batch(aut, words, cancel):
     _count("kernel_batch_words", len(words))
-    if _np is None or len(words) < _BATCH_NUMPY_MIN:
-        if _np is None:
-            _count("kernel_walk_fallbacks")
-        out = []
-        for word in words:
-            if cancel is not None:
-                cancel()
-            out.append(aut.accepts(word))
-        return out
-    return _accepts_batch_numpy(aut, words, cancel)
-
-
-def _accepts_batch_numpy(aut, words, cancel):
-    np = _np
-    n = aut.n_states
-    nsym = len(aut.sigma)
-    index = sigma_index(aut.sigma)
-    # Padded table: row n = dead sink; column nsym = unknown symbol -> dead;
-    # column nsym + 1 = past-end padding -> hold the current state.
-    table = np.empty((n + 1, nsym + 2), dtype=np.int64)
-    if n and nsym:
-        table[:n, :nsym] = np.frombuffer(aut.delta, dtype=np.intc).reshape(n, nsym)
-    table[n, :] = n
-    table[:, nsym] = n
-    table[:, nsym + 1] = np.arange(n + 1)
-    longest = max((len(word) for word in words), default=0)
-    steps = np.full((len(words), longest), nsym + 1, dtype=np.int64)
-    for i, word in enumerate(words):
-        for t, pi in enumerate(word):
-            k = index.get(pi)
-            steps[i, t] = nsym if k is None else k
-    states = np.zeros(len(words), dtype=np.int64)
-    for t in range(longest):
+    out = []
+    for word in words:
         if cancel is not None:
             cancel()
-        states = table[states, steps[:, t]]
-    accepting = np.zeros(n + 1, dtype=bool)
-    bits = aut.accepting
-    for s in range(n):
-        if (bits >> s) & 1:
-            accepting[s] = True
-    return [bool(flag) for flag in accepting[states]]
+        out.append(aut.accepts(word))
+    return out

@@ -25,15 +25,11 @@ from repro.utils.errors import KmtError
 class KMT:
     """A Kleene algebra modulo the given client theory."""
 
-    def __init__(self, theory, budget=DEFAULT_BUDGET, prune_unsat_cells=True, caches=None,
-                 cell_search="signature", use_compiled=True, walk_kernel="flat"):
+    def __init__(self, theory, budget=DEFAULT_BUDGET, caches=None):
         self.theory = theory
         self.budget = budget
-        self.caches = caches
-        self.checker = EquivalenceChecker(
-            theory, budget=budget, prune_unsat_cells=prune_unsat_cells, caches=caches,
-            cell_search=cell_search, use_compiled=use_compiled, walk_kernel=walk_kernel,
-        )
+        self.checker = EquivalenceChecker(theory, budget=budget, caches=caches)
+        self.caches = self.checker.caches
         theory.attach(self)
 
     def __repr__(self):

@@ -85,6 +85,6 @@ def accepts_word(m, word):
 
 def is_empty_language(m):
     """True iff ``R(m)`` is the empty language."""
-    from repro.core.automata import language_is_empty
+    from repro.core.compile import compile_automaton
 
-    return language_is_empty(m)
+    return compile_automaton(m).is_empty()

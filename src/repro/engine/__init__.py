@@ -12,10 +12,11 @@ that work across queries:
   satisfiability, equivalence verdicts);
 * :mod:`repro.engine.session` — :class:`EngineSession`, a long-lived wrapper
   around :class:`~repro.core.kmt.KMT` that threads the caches through the
-  normalizer, the cell search and the automata module;
-* :mod:`repro.engine.batch` — a JSONL batch protocol plus the blocking
-  stdin/stdout serve loop, dispatching work across per-theory sessions on a
-  ``concurrent.futures`` pool;
+  normalizer, the signature search and the automata module, and
+  :class:`ShardedSessionPool`, which keeps one session per
+  ``(theory, stripe)``;
+* :mod:`repro.engine.batch` — a JSONL batch protocol, dispatching work across
+  per-theory sessions on a ``concurrent.futures`` pool;
 * :mod:`repro.engine.server` — the concurrent query server: bounded intake
   queue with backpressure, per-``(theory, stripe)`` session shards pinned to
   workers (threads in-process, or worker *processes* for true CPU
@@ -40,13 +41,12 @@ from repro.engine.telemetry import (
     merge_metrics,
     render_prometheus,
 )
-from repro.engine.session import EngineSession
-from repro.engine.batch import BatchRunner, SessionPool, run_batch_lines, run_query, serve
+from repro.engine.session import EngineSession, ShardedSessionPool
+from repro.engine.batch import BatchRunner, run_batch_lines, run_query
 from repro.engine.server import (
     ProcessExecutionBackend,
     QueryServer,
     ResponseSink,
-    ShardedSessionPool,
     SocketServer,
     ThreadExecutionBackend,
     serve_stdio,
@@ -64,7 +64,6 @@ __all__ = [
     "ProcessExecutionBackend",
     "QueryServer",
     "ResponseSink",
-    "SessionPool",
     "ShardedSessionPool",
     "SocketServer",
     "ThreadExecutionBackend",
@@ -78,6 +77,5 @@ __all__ = [
     "render_prometheus",
     "run_batch_lines",
     "run_query",
-    "serve",
     "serve_stdio",
 ]

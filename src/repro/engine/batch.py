@@ -1,4 +1,4 @@
-"""JSONL batch protocol and serve loop over per-theory engine sessions.
+"""JSONL batch protocol over per-theory engine sessions.
 
 One request per line, one JSON response per line, order preserved::
 
@@ -25,36 +25,33 @@ their exploration counters are not mistaken for fresh work.
 
 Batches are dispatched across a ``concurrent.futures`` thread pool with
 *session affinity*: requests are grouped by theory and each group runs on its
-theory's persistent :class:`~repro.engine.session.EngineSession`, so duplicate
-and overlapping queries inside a batch hit the session caches instead of
-re-normalizing.  The serve loop (``repro serve``) reads the same protocol from
-stdin and answers on stdout, keeping one session pool alive for the whole
-conversation; the extra ops ``{"op": "stats"}``, ``{"op": "ping"}`` and
-``{"op": "metrics"}`` expose cache accounting, liveness and the aggregated
-telemetry counters/histograms.  Any query may carry ``"trace": true`` to get
-a per-phase timing breakdown back in its response (see
-:mod:`repro.engine.telemetry`).
+theory's persistent :class:`~repro.engine.session.EngineSession` (a
+:class:`~repro.engine.session.ShardedSessionPool` with one stripe), so
+duplicate and overlapping queries inside a batch hit the session caches
+instead of re-normalizing.  The extra ops ``{"op": "stats"}``,
+``{"op": "ping"}`` and ``{"op": "metrics"}`` expose cache accounting,
+liveness and the aggregated telemetry counters/histograms.  Any query may
+carry ``"trace": true`` to get a per-phase timing breakdown back in its
+response (see :mod:`repro.engine.telemetry`).
 
 The request parsing/validation helpers (:func:`parse_request_line`,
 :func:`execute_query`, :func:`error_response`, :func:`classify_query_error`)
-are shared with the concurrent query server (:mod:`repro.engine.server`), so
-the two front ends cannot drift apart on protocol details.
+are shared with the concurrent query server (:mod:`repro.engine.server`,
+``kmt serve``), so the two front ends cannot drift apart on protocol
+details.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.pretty import pretty_normal_form
 from repro.core.pushback import DEFAULT_BUDGET
-from repro.engine.cache import installed_derivative_stats
-from repro.engine.session import EngineSession
+from repro.engine.session import ShardedSessionPool
 from repro.engine.telemetry import MetricsRegistry, Trace, activate, deactivate, log_event
-from repro.theories import build_theory
 from repro.utils.errors import KmtError, ParseError, QueryCancelled, WireProtocolError
 
 _log = logging.getLogger("kmt.batch")
@@ -62,7 +59,7 @@ _log = logging.getLogger("kmt.batch")
 #: Ops that dispatch to a theory session.
 QUERY_OPS = ("equiv", "leq", "inclusion", "member", "norm", "sat", "empty",
              "verify", "prog_equiv", "dead_code")
-#: Control ops understood by the serve loop (and harmlessly by batches).
+#: Control ops understood by batches and the query server.
 CONTROL_OPS = ("stats", "ping", "metrics")
 
 DEFAULT_THEORY = "incnat"
@@ -493,159 +490,31 @@ def run_query(session, record, cancel=None, force_trace=False):
     return result, payload
 
 
-class SessionPool:
-    """Lazily-built, persistent :class:`EngineSession` per theory preset.
-
-    ``theory_factory`` maps a preset name to a ``Theory`` (default
-    :func:`repro.theories.build_theory`); benchmarks and tests inject wrappers
-    here, e.g. to model external-solver oracle latency.
-    """
-
-    def __init__(self, budget=DEFAULT_BUDGET, prune_unsat_cells=True, cell_search="signature",
-                 theory_factory=None, walk_kernel="flat"):
-        self.budget = budget
-        self.prune_unsat_cells = prune_unsat_cells
-        self.cell_search = cell_search
-        self.walk_kernel = walk_kernel
-        self.theory_factory = build_theory if theory_factory is None else theory_factory
-        self._sessions = {}
-        self._lock = threading.Lock()
-
-    def session(self, theory_name):
-        """The session for a theory preset, creating it on first use."""
-        key = theory_name.lower()
-        with self._lock:
-            existing = self._sessions.get(key)
-            if existing is not None:
-                return existing
-        # Theory construction can raise KmtError for unknown presets; build
-        # outside the lock, then publish (a racing duplicate is discarded).
-        session = EngineSession(
-            self.theory_factory(key), budget=self.budget,
-            prune_unsat_cells=self.prune_unsat_cells, cell_search=self.cell_search,
-            walk_kernel=self.walk_kernel,
-        )
-        with self._lock:
-            return self._sessions.setdefault(key, session)
-
-    def theories(self):
-        with self._lock:
-            return sorted(self._sessions)
-
-    def stats(self):
-        """Per-session cache stats, with the process-wide tables reported once.
-
-        Every session shares the process-wide derivative cache, so including
-        it in each per-theory block would count the same hits/misses once per
-        session; per-theory blocks therefore cover only session-owned tables,
-        and the *actually installed* shared table (see
-        :func:`repro.engine.cache.installed_derivative_stats` — not
-        necessarily the default one) appears once under ``"shared"``.
-        """
-        with self._lock:
-            sessions = dict(self._sessions)
-        out = {
-            name: session.stats(include_shared=False)
-            for name, session in sorted(sessions.items())
-        }
-        out["shared"] = installed_derivative_stats()
-        return out
-
-    def sessions_snapshot(self):
-        """The live ``{preset: session}`` map (copied under the pool lock)."""
-        with self._lock:
-            return dict(self._sessions)
-
-    def export_snapshot(self):
-        """Every live session's cache state as one versioned snapshot payload."""
-        from repro.engine import persist
-
-        return persist.make_payload({
-            name: session.export_state()
-            for name, session in sorted(self.sessions_snapshot().items())
-        })
-
-    def import_snapshot(self, payload):
-        """Warm the pool from a snapshot payload; returns per-theory counts.
-
-        Sessions named by the payload are created on demand.  The whole
-        payload is staged (every session decoded against its live theory)
-        before anything is installed, so a rejected snapshot — foreign
-        format, stale version, theory mismatch, corrupted entry — raises
-        :class:`~repro.utils.errors.SnapshotError` and leaves every cache
-        untouched.
-        """
-        from repro.engine import persist
-        from repro.utils.errors import SnapshotError
-
-        sessions_payload = persist.check_payload(payload)
-        staged = []
-        for name, state in sorted(sessions_payload.items()):
-            try:
-                session = self.session(str(name))
-            except KmtError as error:
-                raise SnapshotError(
-                    f"snapshot references unavailable theory preset {name!r}: {error}"
-                ) from error
-            staged.append(
-                (name, session, persist.stage_session_state(session, state))
-            )
-        counts = {}
-        for name, session, entries in staged:
-            counts[name] = session.caches.install_state(entries)
-        return counts
-
-
 class BatchRunner:
     """Parse, group and execute a JSONL batch on a session pool."""
 
     def __init__(self, pool=None, default_theory=DEFAULT_THEORY, budget=DEFAULT_BUDGET, jobs=None,
-                 cell_search=None, slow_query_ms=None, walk_kernel=None):
-        # ``cell_search=None`` / ``walk_kernel=None`` mean "whatever the pool
-        # uses" — an explicit value must not be silently ignored when a caller
-        # also passes a pool built with a different strategy.
-        if pool is not None:
-            if cell_search is not None and cell_search != pool.cell_search:
-                raise ValueError(
-                    f"cell_search={cell_search!r} conflicts with the supplied "
-                    f"pool's cell_search={pool.cell_search!r}"
-                )
-            if walk_kernel is not None and walk_kernel != pool.walk_kernel:
-                raise ValueError(
-                    f"walk_kernel={walk_kernel!r} conflicts with the supplied "
-                    f"pool's walk_kernel={pool.walk_kernel!r}"
-                )
-            self.pool = pool
-        else:
-            self.pool = SessionPool(
-                budget=budget,
-                cell_search="signature" if cell_search is None else cell_search,
-                walk_kernel="flat" if walk_kernel is None else walk_kernel,
-            )
+                 slow_query_ms=None):
+        self.pool = ShardedSessionPool(stripes=1, budget=budget) if pool is None else pool
         self.default_theory = default_theory
         self.jobs = jobs
         self.slow_query_ms = slow_query_ms
         self.metrics = MetricsRegistry()
-        # Attached by the CLI when serving with --snapshot; surfaces the
-        # checkpoint counters as the "snapshot" block of stats responses.
-        self.snapshot_manager = None
 
-    def run_lines(self, lines, index_offset=0):
+    def run_lines(self, lines):
         """Execute an iterable of JSONL lines; returns response dicts in order.
 
         Blank lines and ``#`` comments are skipped (no response record).
         Default ``id``s are 0-based *input* line numbers, so error records can
         be correlated back to the file even when comments/blanks interleave.
-        ``index_offset`` shifts the numbering — the serve loop feeds one line
-        at a time and passes the running stdin line number so defaults keep
-        advancing across calls.  ``lines`` is consumed lazily (one line at a
-        time), so a streamed file handle never has to fit in memory at once.
+        ``lines`` is consumed lazily (one line at a time), so a streamed file
+        handle never has to fit in memory at once.
         """
         requests = []   # (index, record) for valid query records
         controls = []   # (index, record) for stats/ping — answered post-batch
         responses = {}  # index -> response dict
         order = []      # indices with responses, in input order
-        for index, raw in enumerate(lines, start=index_offset):
+        for index, raw in enumerate(lines):
             kind, payload = parse_request_line(raw)
             if kind == "skip":
                 continue
@@ -676,10 +545,7 @@ class BatchRunner:
     def _control_response(self, record, index):
         response = {"id": record.get("id", index), "op": record["op"], "ok": True}
         if record["op"] == "stats":
-            result = self.pool.stats()
-            if self.snapshot_manager is not None:
-                result["snapshot"] = self.snapshot_manager.stats()
-            response["result"] = result
+            response["result"] = self.pool.stats()
         elif record["op"] == "metrics":
             response["result"] = self.metrics.snapshot()
         else:
@@ -732,6 +598,13 @@ class BatchRunner:
                 except (KmtError, KeyError, TypeError, ValueError) as error:
                     message, code = classify_query_error(error)
                     base = error_response(record, index, theory_name, message, code)
+                except Exception as error:  # noqa: BLE001 — e.g. RecursionError on deep input
+                    # One bad request must not abort the rest of the batch.
+                    log_event(_log, logging.ERROR, "internal_error",
+                              request_id=record.get("id", index), op=record["op"],
+                              theory=theory_name, error=repr(error))
+                    base = error_response(record, index, theory_name, str(error),
+                                          ERROR_INTERNAL)
                 elapsed_ms = (time.monotonic() - started) * 1000.0
                 if trace_payload is not None:
                     trace_payload["total_ms"] = round(elapsed_ms, 3)
@@ -753,53 +626,7 @@ class BatchRunner:
 
 
 def run_batch_lines(lines, default_theory=DEFAULT_THEORY, budget=DEFAULT_BUDGET,
-                    jobs=None, pool=None, cell_search=None, walk_kernel=None):
+                    jobs=None, pool=None):
     """Convenience wrapper: run a batch, return ``(responses, pool)``."""
-    runner = BatchRunner(pool=pool, default_theory=default_theory, budget=budget, jobs=jobs,
-                         cell_search=cell_search, walk_kernel=walk_kernel)
+    runner = BatchRunner(pool=pool, default_theory=default_theory, budget=budget, jobs=jobs)
     return runner.run_lines(lines), runner.pool
-
-
-def serve(stdin, stdout, default_theory=DEFAULT_THEORY, budget=DEFAULT_BUDGET, pool=None,
-          cell_search=None, slow_query_ms=None, walk_kernel=None,
-          snapshot_manager=None):
-    """The blocking one-at-a-time serve loop (see also :mod:`repro.engine.server`).
-
-    One JSON request per stdin line, one answer per line, strictly in order;
-    runs until EOF or ``{"op": "quit"}``.  The session pool persists across
-    requests, so a client issuing overlapping queries over time gets the same
-    amortization as a batch.  Returns the number of protocol-valid requests
-    served — malformed lines still get an error record on stdout but do not
-    count as served requests.
-
-    Default ``id``s follow batch semantics: the 0-based stdin line number
-    (blank and comment lines occupy a number but produce no response), so the
-    running offset is threaded into each single-line ``run_lines`` call.
-
-    ``repro serve`` now runs the concurrent :class:`repro.engine.server.QueryServer`
-    by default; this loop remains as the ``--legacy`` implementation and as
-    the single-threaded baseline for ``benchmarks/bench_serve.py``.
-    """
-    runner = BatchRunner(pool=pool, default_theory=default_theory, budget=budget, jobs=1,
-                         cell_search=cell_search, slow_query_ms=slow_query_ms,
-                         walk_kernel=walk_kernel)
-    runner.snapshot_manager = snapshot_manager
-    served = 0
-    for lineno, raw in enumerate(stdin):
-        kind, payload = parse_request_line(raw)
-        if kind == "skip":
-            continue
-        if kind == "quit":
-            break
-        if kind == "error":
-            # Answered, but not *served*: the line never was a valid request.
-            message, code, request = payload
-            stdout.write(json.dumps(error_response(request, lineno, None, message, code),
-                                    sort_keys=True) + "\n")
-            stdout.flush()
-            continue
-        for response in runner.run_lines([raw], index_offset=lineno):
-            stdout.write(json.dumps(response, sort_keys=True) + "\n")
-        stdout.flush()
-        served += 1
-    return served

@@ -6,9 +6,8 @@ and exposes :class:`CacheStats` so callers can verify that repeated work is
 actually being reused — the acceptance criterion for the batch front end.
 
 :class:`EngineCaches` bundles one table per concern.  The bundle is what the
-engine passes down into the core (``KMT(caches=...)``); the core treats it as
-an opaque duck-typed object, which keeps the core importable without the
-engine package.
+engine passes down into the core (``KMT(caches=...)``); a checker built
+without one creates a private bundle.
 """
 
 from __future__ import annotations
@@ -297,7 +296,7 @@ class EngineCaches:
                     table.popitem(last=False)
                 table[key] = value
 
-    # -- key builders (duck-typed interface used by repro.core.decision) ----
+    # -- key builders (used by repro.core.decision) ---------------------------
     def term_key(self, term):
         key = fingerprint(term)
         self._remember(self._fp_objects, key, term)
@@ -348,7 +347,7 @@ class EngineCaches:
         ``include_shared=False`` restricts the report to the tables this
         bundle owns, leaving out the process-wide derivative cache —
         aggregators summing over several bundles (e.g.
-        :meth:`repro.engine.batch.SessionPool.stats`) use this to avoid
+        :meth:`repro.engine.session.ShardedSessionPool.stats`) use this to avoid
         counting the shared table once per session.
         """
         caches = self.all_caches() if include_shared else self.private_caches()

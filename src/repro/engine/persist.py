@@ -34,8 +34,8 @@ process.  This module makes that warmth durable:
 The higher layers thread this through everything:
 ``EngineCaches.export_state/import_state`` (:mod:`repro.engine.cache`) →
 ``EngineSession.export_state/import_state`` (:mod:`repro.engine.session`) →
-``SessionPool`` / ``ShardedSessionPool`` ``export_snapshot/import_snapshot``
-(:mod:`repro.engine.batch` / :mod:`repro.engine.server`) → ``kmt serve
+``ShardedSessionPool.export_snapshot/import_snapshot``
+(:mod:`repro.engine.session`) → ``kmt serve
 --snapshot PATH --checkpoint-interval SECS`` (:mod:`repro.cli`), and the
 process-backend supervisor hands the latest payload to respawned workers so
 a SIGKILL'd worker comes back warm.

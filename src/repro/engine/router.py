@@ -35,7 +35,7 @@ connection per backend.
   blocking intake exactly like a single server's.
 
 * **Observability** — ``stats`` and ``metrics`` fan out to every live
-  backend and merge (:func:`repro.engine.server.merge_pool_stats` /
+  backend and merge (:func:`repro.engine.session.merge_pool_stats` /
   :func:`repro.engine.telemetry.merge_metrics`) so the cluster answers them
   with single-server response shapes, extended with a ``"router"`` block:
   ring membership, per-backend routed/retried/ejection counters and link
@@ -70,7 +70,8 @@ from repro.engine.batch import (
     parse_request_line,
 )
 from repro.engine.client import SocketClient
-from repro.engine.server import affinity_hash, merge_pool_stats
+from repro.engine.server import affinity_hash
+from repro.engine.session import merge_pool_stats
 from repro.engine.telemetry import (
     MetricsRegistry,
     empty_snapshot,

@@ -1,8 +1,6 @@
 """A concurrent JSONL query server with shard affinity and session striping.
 
-This replaces the blocking one-line-at-a-time serve loop
-(:func:`repro.engine.batch.serve`) for served workloads.  The protocol is the
-same JSONL request/response format as ``kmt batch`` (see
+The protocol is the same JSONL request/response format as ``kmt batch`` (see
 :mod:`repro.engine.batch` — parsing, validation and query execution are
 literally shared), extended with serving concerns:
 
@@ -102,8 +100,7 @@ from repro.engine.batch import (
     parse_request_line,
     run_query,
 )
-from repro.engine.cache import installed_derivative_stats
-from repro.engine.session import EngineSession
+from repro.engine.session import ShardedSessionPool, merge_pool_stats
 from repro.engine.telemetry import (
     MetricsRegistry,
     empty_snapshot,
@@ -152,153 +149,6 @@ def _affinity_stripe(record, stripes):
     session's caches.
     """
     return affinity_hash(record) % stripes
-
-
-def _merge_cache_tables(into, tables):
-    """Accumulate one stats block's table counters into ``into`` (by name)."""
-    for table_name, table in tables.items():
-        agg = into.setdefault(
-            table_name,
-            {"name": table_name, "hits": 0, "misses": 0, "puts": 0, "evictions": 0},
-        )
-        for counter in ("hits", "misses", "puts", "evictions"):
-            agg[counter] += table.get(counter, 0)
-
-
-def _finish_hit_rates(tables):
-    """Recompute ``hit_rate`` on aggregated table counters."""
-    for table in tables.values():
-        lookups = table["hits"] + table["misses"]
-        table["hit_rate"] = round(table["hits"] / lookups, 4) if lookups else 0.0
-
-
-class ShardedSessionPool:
-    """Persistent per-``(theory, stripe)`` engine sessions.
-
-    The striped analogue of :class:`repro.engine.batch.SessionPool`: a hot
-    theory gets up to ``stripes`` independent sessions so its queries can be
-    spread over that many workers.  ``theory_factory`` (default
-    :func:`repro.theories.build_theory`) is the injection point for wrapped
-    theories in tests and benchmarks.
-    """
-
-    def __init__(self, stripes=4, budget=DEFAULT_BUDGET, prune_unsat_cells=True,
-                 cell_search="signature", theory_factory=None, walk_kernel="flat"):
-        if stripes < 1:
-            raise ValueError(f"stripes must be at least 1, got {stripes}")
-        self.stripes = stripes
-        self.budget = budget
-        self.prune_unsat_cells = prune_unsat_cells
-        self.cell_search = cell_search
-        self.walk_kernel = walk_kernel
-        self.theory_factory = build_theory if theory_factory is None else theory_factory
-        self._sessions = {}  # (theory_name, stripe) -> EngineSession
-        self._lock = threading.Lock()
-
-    def session(self, theory_name, stripe=0):
-        key = (theory_name.lower(), stripe % self.stripes)
-        with self._lock:
-            existing = self._sessions.get(key)
-            if existing is not None:
-                return existing
-        # Build outside the lock (theory construction may be slow or raise
-        # for unknown presets); a racing duplicate is discarded.
-        session = EngineSession(
-            self.theory_factory(key[0]), budget=self.budget,
-            prune_unsat_cells=self.prune_unsat_cells, cell_search=self.cell_search,
-            walk_kernel=self.walk_kernel,
-        )
-        with self._lock:
-            return self._sessions.setdefault(key, session)
-
-    def theories(self):
-        with self._lock:
-            return sorted({name for name, _ in self._sessions})
-
-    def stats(self):
-        """Per-theory cache accounting aggregated over stripes.
-
-        Same top-level shape as ``SessionPool.stats()`` — theory names plus a
-        ``"shared"`` block for whatever derivative memo is actually installed
-        — with per-theory blocks additionally reporting the live stripe count.
-        """
-        with self._lock:
-            sessions = dict(self._sessions)
-        by_theory = {}
-        for (name, _), session in sorted(sessions.items()):
-            by_theory.setdefault(name, []).append(session.stats(include_shared=False))
-        out = {}
-        for name, blocks in by_theory.items():
-            tables = {}
-            for block in blocks:
-                _merge_cache_tables(tables, block["tables"])
-            _finish_hit_rates(tables)
-            out[name] = {
-                "stripes": len(blocks),
-                "queries": sum(block["session"]["queries"] for block in blocks),
-                "states_compiled": sum(
-                    block["session"].get("states_compiled", 0) for block in blocks
-                ),
-                "aut_bytes": sum(
-                    block["session"].get("aut_bytes", 0) for block in blocks
-                ),
-                "tables": tables,
-                "totals": {
-                    "hits": sum(block["totals"]["hits"] for block in blocks),
-                    "misses": sum(block["totals"]["misses"] for block in blocks),
-                },
-            }
-        out["shared"] = installed_derivative_stats()
-        return out
-
-    def export_snapshot(self):
-        """Every stripe session's state, merged into one snapshot payload.
-
-        Stripes of one theory serve disjoint request shards but overlap on
-        cached entries; the merge dedups by serialized key, so the payload is
-        roughly one warm session's worth per theory.
-        """
-        from repro.engine import persist
-
-        with self._lock:
-            sessions = dict(self._sessions)
-        payloads = [
-            persist.make_payload({name: session.export_state()})
-            for (name, _), session in sorted(sessions.items())
-        ]
-        return persist.merge_payloads(payloads)
-
-    def import_snapshot(self, payload):
-        """Warm every stripe from a snapshot payload; returns per-theory counts.
-
-        Each theory's payload is decoded **once** (against the stripe-0
-        session: fingerprints are process-global, so the staged keys are
-        valid for every stripe) and the decoded values — automata, normal
-        forms, verdicts — are installed into all stripes, shared by
-        reference.  Staging completes for every theory before any stripe is
-        touched, keeping rejection atomic.
-        """
-        from repro.engine import persist
-        from repro.utils.errors import SnapshotError
-
-        sessions_payload = persist.check_payload(payload)
-        staged = []
-        for name, state in sorted(sessions_payload.items()):
-            try:
-                primary = self.session(str(name), 0)
-            except KmtError as error:
-                raise SnapshotError(
-                    f"snapshot references unavailable theory preset {name!r}: {error}"
-                ) from error
-            staged.append(
-                (str(name).lower(), persist.stage_session_state(primary, state))
-            )
-        counts = {}
-        for name, entries in staged:
-            for stripe in range(self.stripes):
-                stripe_counts = self.session(name, stripe).caches.install_state(entries)
-            counts[name] = stripe_counts
-        return counts
 
 
 def execute_record(pool, record, default_theory, fallback_id, cancel=None,
@@ -365,42 +215,6 @@ def resolve_theory_factory(spec):
     if not callable(factory):
         raise ValueError(f"theory factory spec {spec!r} resolved to a non-callable")
     return factory
-
-
-def merge_pool_stats(blocks):
-    """Merge per-worker :meth:`ShardedSessionPool.stats` blocks into one.
-
-    Worker processes each own private sessions *and* a private process-wide
-    derivative memo; the merged report sums table counters per theory across
-    workers (recomputing hit rates) and folds every worker's ``"shared"``
-    block into one.  The result has the same shape as a single pool's stats,
-    so ``stats`` responses look identical under both backends.
-    """
-    out = {}
-    shared_tables = {}
-    for block in blocks:
-        for name, theory_block in block.items():
-            if name == "shared":
-                _merge_cache_tables(shared_tables, theory_block.get("tables", {}))
-                continue
-            agg = out.setdefault(
-                name,
-                {"stripes": 0, "queries": 0, "states_compiled": 0, "aut_bytes": 0,
-                 "tables": {}, "totals": {"hits": 0, "misses": 0}},
-            )
-            agg["stripes"] += theory_block.get("stripes", 0)
-            agg["queries"] += theory_block.get("queries", 0)
-            agg["states_compiled"] += theory_block.get("states_compiled", 0)
-            agg["aut_bytes"] += theory_block.get("aut_bytes", 0)
-            _merge_cache_tables(agg["tables"], theory_block.get("tables", {}))
-            for counter in ("hits", "misses"):
-                agg["totals"][counter] += theory_block.get("totals", {}).get(counter, 0)
-    for agg in out.values():
-        _finish_hit_rates(agg["tables"])
-    _finish_hit_rates(shared_tables)
-    merged = dict(sorted(out.items()))
-    merged["shared"] = {"tables": shared_tables}
-    return merged
 
 
 class ThreadExecutionBackend:
@@ -495,10 +309,7 @@ def _process_worker_main(conn, config):
     pool = ShardedSessionPool(
         stripes=config["stripes"],
         budget=config["budget"],
-        prune_unsat_cells=config["prune_unsat_cells"],
-        cell_search=config["cell_search"],
         theory_factory=resolve_theory_factory(config["theory_factory_spec"]),
-        walk_kernel=config.get("walk_kernel", "flat"),
     )
     default_theory = config["default_theory"]
     worker_label = str(config.get("worker_index", ""))
@@ -550,6 +361,7 @@ def _process_worker_main(conn, config):
             continue
         _, seq, wire, fallback_id, remaining_ms, deadline_ms = message
         exec_started = time.monotonic()
+        record = {}  # until decoded: error responses then carry fallback_id
         try:
             record = decode_wire_request(wire)
             cancel = None
@@ -566,13 +378,13 @@ def _process_worker_main(conn, config):
         except WireProtocolError as error:
             response = error_response({}, fallback_id, None, str(error), error.code)
         except Exception as error:  # noqa: BLE001 — a worker must never die on one request
-            response = error_response({}, fallback_id, None,
+            response = error_response(record, fallback_id, None,
                                       f"worker internal error: {error}", ERROR_INTERNAL)
         try:
             wire_response = encode_wire_response(response)
         except WireProtocolError as error:
             wire_response = encode_wire_response(error_response(
-                {}, fallback_id, None, f"response not wire-serializable: {error}",
+                record, fallback_id, None, f"response not wire-serializable: {error}",
                 ERROR_INTERNAL))
         served += 1
         metrics.inc("worker_requests_total", (
@@ -746,9 +558,8 @@ class ProcessExecutionBackend:
 
     name = "process"
 
-    def __init__(self, workers, stripes, budget=DEFAULT_BUDGET, prune_unsat_cells=True,
-                 cell_search="signature", default_theory=DEFAULT_THEORY,
-                 theory_factory_spec=None, start_method="spawn", walk_kernel="flat"):
+    def __init__(self, workers, stripes, budget=DEFAULT_BUDGET, default_theory=DEFAULT_THEORY,
+                 theory_factory_spec=None, start_method="spawn"):
         if theory_factory_spec is not None:
             # Fail fast in the parent on a bad spec instead of crash-looping
             # every worker at spawn.
@@ -757,11 +568,8 @@ class ProcessExecutionBackend:
         self._config = {
             "stripes": stripes,
             "budget": budget,
-            "prune_unsat_cells": prune_unsat_cells,
-            "cell_search": cell_search,
             "default_theory": default_theory,
             "theory_factory_spec": theory_factory_spec,
-            "walk_kernel": walk_kernel,
         }
         self._ctx = multiprocessing.get_context(start_method)
         self._handles = []
@@ -1113,9 +921,9 @@ class QueryServer:
     """
 
     def __init__(self, workers=4, stripes=None, queue_limit=128, default_theory=DEFAULT_THEORY,
-                 budget=DEFAULT_BUDGET, cell_search="signature", theory_factory=None, pool=None,
-                 backend="thread", theory_factory_spec=None, start_method="spawn",
-                 slow_query_ms=None, enable_metrics=True, walk_kernel="flat"):
+                 budget=DEFAULT_BUDGET, theory_factory=None, pool=None, backend="thread",
+                 theory_factory_spec=None, start_method="spawn", slow_query_ms=None,
+                 enable_metrics=True):
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         if queue_limit < 1:
@@ -1143,9 +951,8 @@ class QueryServer:
             self.pool = None
             self.backend = ProcessExecutionBackend(
                 workers=workers, stripes=self.stripes, budget=budget,
-                cell_search=cell_search, default_theory=default_theory,
-                theory_factory_spec=theory_factory_spec, start_method=start_method,
-                walk_kernel=walk_kernel,
+                default_theory=default_theory, theory_factory_spec=theory_factory_spec,
+                start_method=start_method,
             )
         else:
             if theory_factory is not None and theory_factory_spec is not None:
@@ -1158,8 +965,7 @@ class QueryServer:
                 self.stripes = pool.stripes
             else:
                 self.pool = ShardedSessionPool(
-                    stripes=self.stripes, budget=budget, cell_search=cell_search,
-                    theory_factory=theory_factory, walk_kernel=walk_kernel,
+                    stripes=self.stripes, budget=budget, theory_factory=theory_factory,
                 )
             self.backend = ThreadExecutionBackend(self.pool, default_theory)
         if slow_query_ms is not None and slow_query_ms < 0:
@@ -1599,18 +1405,17 @@ class QueryServer:
 
 
 def serve_stdio(stdin, stdout, workers=4, stripes=None, queue_limit=128, ordered=False,
-                default_theory=DEFAULT_THEORY, budget=DEFAULT_BUDGET, cell_search="signature",
-                theory_factory=None, server=None, backend="thread", theory_factory_spec=None,
-                walk_kernel="flat"):
+                default_theory=DEFAULT_THEORY, budget=DEFAULT_BUDGET, theory_factory=None,
+                server=None, backend="thread", theory_factory_spec=None):
     """Serve the JSONL protocol from ``stdin`` to ``stdout`` concurrently.
 
-    The drop-in concurrent replacement for :func:`repro.engine.batch.serve`:
-    same protocol, same default-``id`` semantics (0-based input line number),
-    but requests overlap across worker shards and completions are emitted
-    out-of-order unless ``ordered=True``.  Runs until EOF or
-    ``{"op": "quit"}``, drains in-flight requests, and returns the number of
-    protocol-valid requests accepted (malformed lines are answered with error
-    records but not counted — same contract as the fixed legacy loop).
+    Same protocol and default-``id`` semantics (0-based input line number)
+    as ``kmt batch``; requests overlap across worker shards and completions
+    are emitted out-of-order unless ``ordered=True`` (``ordered=True,
+    workers=1`` answers strictly one request at a time, in input order).
+    Runs until EOF or ``{"op": "quit"}``, drains in-flight requests, and
+    returns the number of protocol-valid requests accepted (malformed lines
+    are answered with error records but not counted).
 
     An externally-managed ``server`` may be passed (it is then only drained,
     not shut down); otherwise one is created from the keyword options.
@@ -1619,9 +1424,8 @@ def serve_stdio(stdin, stdout, workers=4, stripes=None, queue_limit=128, ordered
     if own_server:
         server = QueryServer(workers=workers, stripes=stripes, queue_limit=queue_limit,
                              default_theory=default_theory, budget=budget,
-                             cell_search=cell_search, theory_factory=theory_factory,
-                             backend=backend, theory_factory_spec=theory_factory_spec,
-                             walk_kernel=walk_kernel)
+                             theory_factory=theory_factory, backend=backend,
+                             theory_factory_spec=theory_factory_spec)
     server.start()
     sink = ResponseSink(
         lambda line: (stdout.write(line + "\n"), stdout.flush()), ordered=ordered)

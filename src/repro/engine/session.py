@@ -13,8 +13,9 @@ the same facade but keeps everything warm between queries:
   repeated and overlapping queries — ``partition``, Hoare-triple chains, the
   batch front end — never re-normalize the same term twice.
 
-Sessions are *not* thread-safe; the batch layer gives each worker exclusive
-access via :attr:`EngineSession.lock`.
+Sessions are *not* thread-safe; callers take :attr:`EngineSession.lock`
+for exclusive access.  :class:`ShardedSessionPool` keeps the sessions of a
+batch run or a server alive: one per ``(theory, stripe)`` pair.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from repro.core import terms as T
 from repro.core.kmt import KMT
 from repro.core.pushback import DEFAULT_BUDGET, Normalizer
 from repro.engine import intern
-from repro.engine.cache import DERIVATIVE_CACHE, EngineCaches
+from repro.engine.cache import DERIVATIVE_CACHE, EngineCaches, installed_derivative_stats
+from repro.theories import build_theory
+from repro.utils.errors import KmtError
 from repro.utils.trace import current_trace
 
 _MISS = object()
@@ -35,8 +38,7 @@ _MISS = object()
 class EngineSession:
     """A persistent, cache-backed query engine for one client theory."""
 
-    def __init__(self, theory, budget=DEFAULT_BUDGET, prune_unsat_cells=True, caches=None,
-                 cell_search="signature", walk_kernel="flat"):
+    def __init__(self, theory, budget=DEFAULT_BUDGET, caches=None):
         intern.install()
         self.caches = caches if caches is not None else EngineCaches()
         # The automata memo is a process-wide slot.  Only the *shared* table is
@@ -47,10 +49,7 @@ class EngineSession:
         # a global table can call ``automata.set_derivative_cache`` themselves.
         if self.caches.deriv is DERIVATIVE_CACHE and automata.get_derivative_cache() is None:
             automata.set_derivative_cache(DERIVATIVE_CACHE)
-        self.kmt = KMT(
-            theory, budget=budget, prune_unsat_cells=prune_unsat_cells, caches=self.caches,
-            cell_search=cell_search, walk_kernel=walk_kernel,
-        )
+        self.kmt = KMT(theory, budget=budget, caches=self.caches)
         self.theory = theory
         self.budget = budget
         self.lock = threading.Lock()
@@ -285,3 +284,179 @@ class EngineSession:
         from repro.engine import persist
 
         return persist.import_session_state(self, state)
+
+
+def _merge_cache_tables(into, tables):
+    """Accumulate one stats block's table counters into ``into`` (by name)."""
+    for table_name, table in tables.items():
+        agg = into.setdefault(
+            table_name,
+            {"name": table_name, "hits": 0, "misses": 0, "puts": 0, "evictions": 0},
+        )
+        for counter in ("hits", "misses", "puts", "evictions"):
+            agg[counter] += table.get(counter, 0)
+
+
+def _finish_hit_rates(tables):
+    """Recompute ``hit_rate`` on aggregated table counters."""
+    for table in tables.values():
+        lookups = table["hits"] + table["misses"]
+        table["hit_rate"] = round(table["hits"] / lookups, 4) if lookups else 0.0
+
+
+class ShardedSessionPool:
+    """Persistent per-``(theory, stripe)`` engine sessions.
+
+    A hot theory gets up to ``stripes`` independent sessions so its queries
+    can be spread over that many workers; ``stripes=1`` is one session per
+    theory (the batch runner's pool).  ``theory_factory`` (default
+    :func:`repro.theories.build_theory`) is the injection point for wrapped
+    theories in tests and benchmarks.
+    """
+
+    def __init__(self, stripes=4, budget=DEFAULT_BUDGET, theory_factory=None):
+        if stripes < 1:
+            raise ValueError(f"stripes must be at least 1, got {stripes}")
+        self.stripes = stripes
+        self.budget = budget
+        self.theory_factory = build_theory if theory_factory is None else theory_factory
+        self._sessions = {}  # (theory_name, stripe) -> EngineSession
+        self._lock = threading.Lock()
+
+    def session(self, theory_name, stripe=0):
+        key = (theory_name.lower(), stripe % self.stripes)
+        with self._lock:
+            existing = self._sessions.get(key)
+            if existing is not None:
+                return existing
+        # Build outside the lock (theory construction may be slow or raise
+        # for unknown presets); a racing duplicate is discarded.
+        session = EngineSession(self.theory_factory(key[0]), budget=self.budget)
+        with self._lock:
+            return self._sessions.setdefault(key, session)
+
+    def theories(self):
+        with self._lock:
+            return sorted({name for name, _ in self._sessions})
+
+    def stats(self):
+        """Per-theory cache accounting aggregated over stripes.
+
+        Theory names plus a ``"shared"`` block for whatever derivative memo
+        is actually installed (see
+        :func:`repro.engine.cache.installed_derivative_stats`; every session
+        shares it, so it is reported once rather than per theory).
+        """
+        with self._lock:
+            sessions = dict(self._sessions)
+        by_theory = {}
+        for (name, _), session in sorted(sessions.items()):
+            by_theory.setdefault(name, []).append(session.stats(include_shared=False))
+        out = {}
+        for name, blocks in by_theory.items():
+            tables = {}
+            for block in blocks:
+                _merge_cache_tables(tables, block["tables"])
+            _finish_hit_rates(tables)
+            out[name] = {
+                "stripes": len(blocks),
+                "queries": sum(block["session"]["queries"] for block in blocks),
+                "states_compiled": sum(
+                    block["session"].get("states_compiled", 0) for block in blocks
+                ),
+                "aut_bytes": sum(
+                    block["session"].get("aut_bytes", 0) for block in blocks
+                ),
+                "tables": tables,
+                "totals": {
+                    "hits": sum(block["totals"]["hits"] for block in blocks),
+                    "misses": sum(block["totals"]["misses"] for block in blocks),
+                },
+            }
+        out["shared"] = installed_derivative_stats()
+        return out
+
+    def export_snapshot(self):
+        """Every stripe session's state, merged into one snapshot payload.
+
+        Stripes of one theory serve disjoint request shards but overlap on
+        cached entries; the merge dedups by serialized key, so the payload is
+        roughly one warm session's worth per theory.
+        """
+        from repro.engine import persist
+
+        with self._lock:
+            sessions = dict(self._sessions)
+        payloads = [
+            persist.make_payload({name: session.export_state()})
+            for (name, _), session in sorted(sessions.items())
+        ]
+        return persist.merge_payloads(payloads)
+
+    def import_snapshot(self, payload):
+        """Warm every stripe from a snapshot payload; returns per-theory counts.
+
+        Each theory's payload is decoded **once** (against the stripe-0
+        session: fingerprints are process-global, so the staged keys are
+        valid for every stripe) and the decoded values — automata, normal
+        forms, verdicts — are installed into all stripes, shared by
+        reference.  Staging completes for every theory before any stripe is
+        touched, keeping rejection atomic.
+        """
+        from repro.engine import persist
+        from repro.utils.errors import SnapshotError
+
+        sessions_payload = persist.check_payload(payload)
+        staged = []
+        for name, state in sorted(sessions_payload.items()):
+            try:
+                primary = self.session(str(name), 0)
+            except KmtError as error:
+                raise SnapshotError(
+                    f"snapshot references unavailable theory preset {name!r}: {error}"
+                ) from error
+            staged.append(
+                (str(name).lower(), persist.stage_session_state(primary, state))
+            )
+        counts = {}
+        for name, entries in staged:
+            for stripe in range(self.stripes):
+                stripe_counts = self.session(name, stripe).caches.install_state(entries)
+            counts[name] = stripe_counts
+        return counts
+
+
+def merge_pool_stats(blocks):
+    """Merge per-worker :meth:`ShardedSessionPool.stats` blocks into one.
+
+    Worker processes each own private sessions *and* a private process-wide
+    derivative memo; the merged report sums table counters per theory across
+    workers (recomputing hit rates) and folds every worker's ``"shared"``
+    block into one.  The result has the same shape as a single pool's stats,
+    so ``stats`` responses look identical under both backends.
+    """
+    out = {}
+    shared_tables = {}
+    for block in blocks:
+        for name, theory_block in block.items():
+            if name == "shared":
+                _merge_cache_tables(shared_tables, theory_block.get("tables", {}))
+                continue
+            agg = out.setdefault(
+                name,
+                {"stripes": 0, "queries": 0, "states_compiled": 0, "aut_bytes": 0,
+                 "tables": {}, "totals": {"hits": 0, "misses": 0}},
+            )
+            agg["stripes"] += theory_block.get("stripes", 0)
+            agg["queries"] += theory_block.get("queries", 0)
+            agg["states_compiled"] += theory_block.get("states_compiled", 0)
+            agg["aut_bytes"] += theory_block.get("aut_bytes", 0)
+            _merge_cache_tables(agg["tables"], theory_block.get("tables", {}))
+            for counter in ("hits", "misses"):
+                agg["totals"][counter] += theory_block.get("totals", {}).get(counter, 0)
+    for agg in out.values():
+        _finish_hit_rates(agg["tables"])
+    _finish_hit_rates(shared_tables)
+    merged = dict(sorted(out.items()))
+    merged["shared"] = {"tables": shared_tables}
+    return merged

@@ -7,13 +7,14 @@ Three layers, one module:
    importing the engine package); this module re-exports it.  A request
    carrying ``"trace": true`` gets a ``trace`` block in its response with the
    per-phase self-time breakdown (``normalize`` / ``signatures`` / ``compile``
-   / ``compare`` / ``product_walk`` / ``minimize`` / ``kernel``), the
-   individual spans, per-table cache hit/miss deltas, and — from the query
-   server — ``queue_ms`` and ``total_ms`` stamped by the scheduler.  The
-   ``kernel`` phase covers the batched flat-table walks of
-   :mod:`repro.core.kernels`, which also tally free-form ``counters``
-   (``kernel_fastpath_hits``, ``kernel_levels``, ``kernel_pairs``,
-   ``kernel_batch_words``, ``kernel_walk_fallbacks``) in the trace block.  See
+   / ``compare`` / ``minimize`` / ``kernel``), the individual spans,
+   per-table cache hit/miss deltas, and — from the query server —
+   ``queue_ms`` and ``total_ms`` stamped by the scheduler.  The ``kernel``
+   phase covers the language comparisons and batched membership of
+   :mod:`repro.core.kernels`, which also tally free-form ``counters`` in the
+   trace block: ``kernel_fastpath_hits`` (decided by canonical-table
+   equality), ``kernel_walk_fallbacks`` (a product walk ran) and
+   ``kernel_batch_words`` (words judged by batched membership).  See
    :func:`repro.engine.batch.run_query` for activation and
    :class:`repro.engine.server.QueryServer` for the scheduler half.
 
@@ -22,7 +23,7 @@ Three layers, one module:
    sets (in practice ``theory`` × request ``op``).  Registries are plain
    data once snapshotted: worker processes piggyback their snapshots over the
    existing stats pipe and the parent folds them with :func:`merge_metrics`,
-   exactly as :func:`repro.engine.server.merge_pool_stats` folds cache
+   exactly as :func:`repro.engine.session.merge_pool_stats` folds cache
    tables.  :func:`render_prometheus` turns a snapshot into Prometheus text
    exposition format (version 0.0.4); :class:`MetricsExporter` serves it over
    HTTP for ``kmt serve --metrics HOST:PORT``.

@@ -99,14 +99,13 @@ class SolverError(KmtError):
 class CounterexampleBoundExceeded(KmtError):
     """A bounded counterexample search ran out of budget without a verdict.
 
-    Raised by :func:`repro.core.automata.counterexample_word` when the
+    Raised by :func:`repro.core.oracle.counterexample_word` when the
     breadth-first product search had to truncate at ``max_length`` before
     finding a distinguishing word: at that point "no word found" means
     *unknown*, not "the languages are equivalent", and silently returning
     ``None`` (the equivalence answer) would conflate the two.  The unbounded
-    compiled product walk (:func:`repro.core.compile.compiled_compare`) never
-    raises this — derivative automata are finite, so it always reaches a
-    verdict.
+    product walk (:func:`repro.core.kernels.flat_compare`) never raises this
+    — compiled automata are finite, so it always reaches a verdict.
     """
 
     def __init__(self, max_length, message=None):

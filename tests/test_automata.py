@@ -1,4 +1,5 @@
-"""Tests for Brzozowski derivatives and Hopcroft–Karp equivalence (Section 4.1)."""
+"""Tests for Brzozowski derivatives (Section 4.1) and the reference oracle's
+Hopcroft–Karp equivalence over them."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +9,11 @@ from repro.utils.errors import CounterexampleBoundExceeded
 from repro.core.automata import (
     alphabet,
     canonical,
-    counterexample_word,
     derivative,
     derivative_states,
-    language_equivalent,
-    language_is_empty,
     nullable,
 )
+from repro.core.oracle import counterexample_word, language_equivalent, language_is_empty
 from repro.core.regexes import accepts_word, language_up_to
 from repro.theories.bitvec import BoolAssign
 from tests.conftest import restricted_actions

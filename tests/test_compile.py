@@ -2,10 +2,10 @@
 
 Unit tests pin the IR invariants (dense BFS numbering, canonical alphabet
 order, accepting bitset, shortest-access back-pointers), Hopcroft
-minimization (canonical minimal sizes, language preservation), and the three
-query operations; the hypothesis section holds the compiled product walks to
-the derivative-based oracles of :mod:`repro.core.automata` over random
-restricted actions.
+minimization (canonical minimal sizes, language preservation), and the
+query operations (the comparisons of :mod:`repro.core.kernels`, emptiness,
+membership); the hypothesis section holds them to the derivative-based
+reference in :mod:`repro.core.oracle` over random restricted actions.
 """
 
 from __future__ import annotations
@@ -17,17 +17,12 @@ from repro.core import terms as T
 from repro.core.automata import (
     canonical,
     derivative,
-    language_compare,
-    language_is_empty,
     nullable,
     sorted_alphabet,
 )
-from repro.core.compile import (
-    CompiledAutomaton,
-    compile_automaton,
-    compiled_compare,
-    compiled_includes,
-)
+from repro.core.compile import CompiledAutomaton, compile_automaton
+from repro.core.kernels import flat_compare, flat_includes
+from repro.core.oracle import language_compare, language_is_empty
 from repro.core.regexes import accepts_word, language_up_to
 from repro.theories.bitvec import BoolAssign
 from repro.utils.errors import KmtError, QueryCancelled
@@ -136,7 +131,7 @@ class TestMinimization:
         assert minimized.state_count <= raw.state_count
         for word in language_up_to(m, 4):
             assert minimized.accepts(word) and raw.accepts(word)
-        equivalent, word = compiled_compare(minimized, raw)
+        equivalent, word = flat_compare(minimized, raw)
         assert equivalent and word is None
 
     def test_syntactic_variants_compile_to_same_size(self):
@@ -153,22 +148,22 @@ class TestCompiledCompare:
     def test_equivalent_pair(self):
         a = compile_automaton(T.tstar(T.tplus(A, B)))
         b = compile_automaton(T.tseq(T.tstar(A), T.tstar(T.tseq(B, T.tstar(A)))))
-        assert compiled_compare(a, b) == (True, None)
+        assert flat_compare(a, b) == (True, None)
 
     def test_witness_is_shortest(self):
         # a;a;a vs a;a;a;a first differ at the length-3 word.
         m = compile_automaton(T.tseq(A, T.tseq(A, A)))
         n = compile_automaton(T.tseq(A, T.tseq(A, T.tseq(A, A))))
-        equivalent, word = compiled_compare(m, n)
+        equivalent, word = flat_compare(m, n)
         assert not equivalent
         assert word == (PI_A, PI_A, PI_A)
 
     def test_disjoint_alphabets_use_dead_sink(self):
-        equivalent, word = compiled_compare(compile_automaton(A), compile_automaton(B))
+        equivalent, word = flat_compare(compile_automaton(A), compile_automaton(B))
         assert not equivalent
         assert word in ((PI_A,), (PI_B,))
         # Two empty-language automata over different alphabets are equivalent.
-        assert compiled_compare(
+        assert flat_compare(
             compile_automaton(T.tseq(A, T.tzero())),
             compile_automaton(T.tseq(B, T.tzero())),
         ) == (True, None)
@@ -178,24 +173,24 @@ class TestCompiledIncludes:
     def test_reflexive_and_strict(self):
         a = compile_automaton(A)
         a_or_b = compile_automaton(T.tplus(A, B))
-        assert compiled_includes(a, a) == (True, None)
-        assert compiled_includes(a, a_or_b) == (True, None)
-        included, word = compiled_includes(a_or_b, a)
+        assert flat_includes(a, a) == (True, None)
+        assert flat_includes(a, a_or_b) == (True, None)
+        included, word = flat_includes(a_or_b, a)
         assert not included
         assert word == (PI_B,)  # a shortest word in L(a+b) \ L(a)
 
     def test_star_containment(self):
         once = compile_automaton(A)
         star = compile_automaton(T.tstar(A))
-        assert compiled_includes(once, star) == (True, None)
-        included, word = compiled_includes(star, once)
+        assert flat_includes(once, star) == (True, None)
+        included, word = flat_includes(star, once)
         assert not included and word in ((), (PI_A, PI_A))
         assert word == ()  # epsilon is the shortest one-sided word
 
     def test_empty_language_included_in_everything(self):
         empty = compile_automaton(T.tzero())
-        assert compiled_includes(empty, compile_automaton(B)) == (True, None)
-        included, word = compiled_includes(compile_automaton(B), empty)
+        assert flat_includes(empty, compile_automaton(B)) == (True, None)
+        included, word = flat_includes(compile_automaton(B), empty)
         assert not included and word == (PI_B,)
 
 
@@ -206,7 +201,7 @@ class TestAgainstDerivativeOracles:
     @given(restricted_actions(max_leaves=5), restricted_actions(max_leaves=5))
     def test_compare_matches_language_compare(self, m, n):
         am, an = compile_automaton(m), compile_automaton(n)
-        equivalent, word = compiled_compare(am, an)
+        equivalent, word = flat_compare(am, an)
         assert equivalent == language_compare(m, n)[0]
         if not equivalent:
             assert accepts_word(m, word) != accepts_word(n, word)
@@ -214,7 +209,7 @@ class TestAgainstDerivativeOracles:
     @settings(max_examples=80, deadline=None)
     @given(restricted_actions(max_leaves=5), restricted_actions(max_leaves=5))
     def test_includes_matches_definition(self, m, n):
-        included, word = compiled_includes(compile_automaton(m), compile_automaton(n))
+        included, word = flat_includes(compile_automaton(m), compile_automaton(n))
         # L(m) <= L(n) iff L(m + n) == L(n).
         assert included == language_compare(T.tplus(m, n), n)[0]
         if not included:
@@ -243,4 +238,4 @@ class TestAgainstDerivativeOracles:
         minimized = compile_automaton(m)
         variant = compile_automaton(T.tseq(m, T.tone()))
         assert minimized.state_count == variant.state_count
-        assert compiled_compare(minimized, variant) == (True, None)
+        assert flat_compare(minimized, variant) == (True, None)

@@ -9,10 +9,11 @@ Covers, layer by layer:
   ``states_compiled`` accounting in every stats aggregation);
 * the batch protocol / wire codec / server / CLI surface of the
   ``inclusion`` and ``member`` request kinds;
-* the randomized differential harness required by the acceptance criteria:
-  200 seeded pairs across IncNat + BitVec + Sets, asserting identical
-  verdicts and valid witness words between the compiled path (both cell
-  strategies) and the legacy derivative-based ``language_compare`` path.
+* the randomized differential harness: 200 seeded pairs across IncNat +
+  BitVec + Sets, asserting identical equivalence, inclusion, membership and
+  emptiness verdicts between the production checker and the reference
+  oracle (:mod:`repro.core.oracle`: explicit cells, derivative comparisons),
+  and valid witness words from both.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import automata
 from repro.core import terms as T
 from repro.core.decision import EquivalenceChecker, InclusionResult
 from repro.core.kmt import KMT
+from repro.core.oracle import OracleChecker, derivative_accepts
 from repro.engine.batch import (
     decode_wire_request,
     decode_wire_response,
@@ -46,12 +47,8 @@ from repro import cli
 DIFFERENTIAL_PAIRS = {"bitvec": 80, "incnat": 80, "sets": 40}  # >= 200 total
 
 
-def accepts(action, word):
-    """Derivative-based membership oracle (independent of the compiled IR)."""
-    state = automata.canonical(action)
-    for pi in word:
-        state = automata.derivative(state, pi)
-    return automata.nullable(state)
+#: Derivative-based membership oracle (independent of the compiled IR).
+accepts = derivative_accepts
 
 
 # ---------------------------------------------------------------------------
@@ -93,30 +90,34 @@ class TestInclusionDecision:
         assert cell == {BoolEq("a"): False}
 
     def test_enumerate_mode_agrees(self):
-        kmt_sig = KMT(IncNatTheory())
-        kmt_enum = KMT(IncNatTheory(), cell_search="enumerate")
+        kmt = KMT(IncNatTheory())
+        oracle = OracleChecker(IncNatTheory())
         for left, right in [
             ("inc(x)", "inc(x) + inc(y)"),
             ("x > 1; inc(x) + inc(y)", "x > 1; inc(x)"),
         ]:
-            sig = kmt_sig.check_inclusion(left, right)
-            enum = kmt_enum.check_inclusion(left, right)
+            sig = kmt.check_inclusion(left, right)
+            enum = oracle.check_inclusion(kmt.parse(left), kmt.parse(right))
             assert sig.includes == enum.includes
             assert enum.signatures_explored == 0  # enumerator never solves
 
-    def test_use_compiled_false_honored(self):
-        """The legacy path must really avoid compilation on every op."""
-        legacy = KMT(IncNatTheory(variables=("x", "y")), use_compiled=False)
-        assert legacy.includes("inc(x)", "inc(x) + inc(y)")
-        result = legacy.check_inclusion("inc(x) + inc(y)", "inc(x)")
+    def test_oracle_agrees_on_every_op(self):
+        """The reference oracle answers every query kind without compiling."""
+        kmt = KMT(IncNatTheory(variables=("x", "y")))
+        oracle = OracleChecker(IncNatTheory(variables=("x", "y")))
+        parse = kmt.parse
+        assert oracle.includes(parse("inc(x)"), parse("inc(x) + inc(y)"))
+        result = oracle.check_inclusion(parse("inc(x) + inc(y)"), parse("inc(x)"))
         assert not result.includes
         assert accepts(result.counterexample.left_actions, result.counterexample.word)
         assert not accepts(result.counterexample.right_actions, result.counterexample.word)
-        assert legacy.member("(inc(x))*", ["inc(x)", "inc(x)"])
-        assert not legacy.member("(inc(x))*", ["inc(y)"])
-        assert not legacy.is_empty("inc(x)")
-        assert legacy.is_empty("x > 1; ~(x > 1)")
-        assert legacy.checker.states_compiled == 0  # nothing ever compiled
+        assert oracle.member(parse("(inc(x))*"), [Incr("x"), Incr("x")])
+        assert not oracle.member(parse("(inc(x))*"), [Incr("y")])
+        assert not oracle.is_empty(parse("inc(x)"))
+        assert oracle.is_empty(parse("x > 1; ~(x > 1)"))
+        assert kmt.member("(inc(x))*", ["inc(x)", "inc(x)"])
+        assert not kmt.member("(inc(x))*", ["inc(y)"])
+        assert kmt.is_empty("x > 1; ~(x > 1)") and not kmt.is_empty("inc(x)")
 
     def test_inclusion_result_repr_and_bool(self, kmt_incnat):
         result = kmt_incnat.check_inclusion("inc(x)", "inc(x) + inc(y)")
@@ -289,7 +290,7 @@ class TestBatchProtocol:
         responses, _pool = run_batch_lines(lines)
         block = responses[1]["result"]["incnat"]
         assert "aut" in block["tables"]
-        assert block["session"]["states_compiled"] > 0
+        assert block["states_compiled"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +410,7 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# randomized differential harness: compiled vs derivative vs enumerator
+# randomized differential harness: production checker vs reference oracle
 # ---------------------------------------------------------------------------
 
 
@@ -527,13 +528,10 @@ def _assert_valid_counterexample(theory, result, negate=False):
 def _run_differential(theory_builder, seed, pairs):
     build, pred_leaf, action_leaf = theory_builder()
     rng = random.Random(seed)
-    # Three configurations, each with its own theory instance (no shared
-    # memo leakage): the compiled default, the compiled enumerator, and the
-    # legacy derivative-pairwise path.
-    compiled_sig = EquivalenceChecker(build(), budget=60_000, cell_search="signature")
-    compiled_enum = EquivalenceChecker(build(), budget=60_000, cell_search="enumerate")
-    derivative_sig = EquivalenceChecker(build(), budget=60_000, cell_search="signature",
-                                        use_compiled=False)
+    # The production checker and the reference oracle, each with its own
+    # theory instance (no shared memo leakage).
+    production = EquivalenceChecker(build(), budget=60_000)
+    oracle = OracleChecker(build(), budget=60_000)
     witness_theory = build()
     compared = inequivalent = equivalent = attempts = 0
     while compared < pairs:
@@ -544,30 +542,31 @@ def _run_differential(theory_builder, seed, pairs):
         if rng.random() < 0.45:
             p, q = _equivalent_variant(rng, p, q, T.tprim(action_leaf(rng)))
         try:
-            results = [
-                checker.check_equivalent(p, q)
-                for checker in (compiled_sig, compiled_enum, derivative_sig)
-            ]
+            x, y = production.normalize(p), production.normalize(q)
         except KmtError:
             continue  # pushback budget blow-ups are exercised elsewhere
-        verdicts = {result.equivalent for result in results}
-        assert len(verdicts) == 1, f"verdict mismatch on {p!r} vs {q!r}"
-        if not results[0].equivalent:
+        result = production.check_equivalent_nf(x, y)
+        reference = oracle.check_equivalent_nf(x, y)
+        assert result.equivalent == reference.equivalent, f"verdict mismatch on {p!r} vs {q!r}"
+        # Inclusion: the compiled product-emptiness op, the equivalence
+        # reduction p <= q iff p + q == q, and the oracle must all agree.
+        incl = production.check_inclusion_nf(x, y)
+        assert incl.includes == oracle.check_inclusion_nf(x, y).includes
+        assert incl.includes == production.equivalent(T.tplus(p, q), q)
+        if not incl.includes:
+            _assert_valid_counterexample(witness_theory, incl, negate=True)
+        assert production.is_empty_nf(x) == oracle.is_empty_nf(x)
+        if not result.equivalent:
             inequivalent += 1
-            for result in results:
-                _assert_valid_counterexample(witness_theory, result)
-            # Inclusion differential: p <= q iff p + q == q, under the
-            # compiled product-emptiness op, the equivalence reduction, and
-            # the legacy derivative containment path.
-            incl = compiled_sig.check_inclusion(p, q)
-            assert incl.includes == compiled_sig.equivalent(T.tplus(p, q), q)
-            assert incl.includes == derivative_sig.check_inclusion(p, q).includes
-            if not incl.includes:
-                _assert_valid_counterexample(witness_theory, incl, negate=True)
+            _assert_valid_counterexample(witness_theory, result)
+            _assert_valid_counterexample(witness_theory, reference)
+            word = result.counterexample.word
+            for nf in (x, y):
+                assert production.member_nf(nf, word) == oracle.member_nf(nf, word)
         else:
             equivalent += 1
             # Equivalence implies mutual inclusion.
-            assert compiled_sig.check_inclusion(p, q).includes
+            assert incl.includes
         compared += 1
     assert compared >= pairs
     assert inequivalent >= 10 and equivalent >= 10  # both verdicts exercised

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import terms as T
-from repro.core.decision import EquivalenceChecker
 from repro.core.kmt import KMT
+from repro.core.oracle import OracleChecker
 from repro.core.semantics import equivalent_up_to_length
 from repro.theories.bitvec import BitVecTheory, BoolAssign, BoolEq
 from repro.theories.incnat import Gt, IncNatTheory, Incr
@@ -64,9 +64,10 @@ class TestResultObject:
         assert result.cells_explored == 0
         assert result.signatures_explored >= 1
 
-    def test_enumerate_mode_reports_no_signatures(self, bitvec):
-        kmt = KMT(bitvec, cell_search="enumerate")
-        result = kmt.check_equivalent("a = T + ~(a = T)", "true")
+    def test_enumerate_mode_reports_no_signatures(self, bitvec, kmt_bitvec):
+        oracle = OracleChecker(bitvec)
+        result = oracle.check_equivalent(kmt_bitvec.parse("a = T + ~(a = T)"),
+                                         kmt_bitvec.parse("true"))
         assert result.equivalent
         assert result.cells_explored >= 1
         assert result.signatures_explored == 0
@@ -115,12 +116,12 @@ class TestOrderingAndEmptiness:
 
 
 class TestPruningAblation:
-    """``prune_unsat_cells`` applies to the ``cell_search="enumerate"`` baseline."""
+    """``prune_unsat_cells`` applies to the reference cell enumerator."""
 
     def test_unpruned_checker_agrees(self):
         theory = BitVecTheory()
-        pruned = EquivalenceChecker(theory, prune_unsat_cells=True, cell_search="enumerate")
-        unpruned = EquivalenceChecker(theory, prune_unsat_cells=False, cell_search="enumerate")
+        pruned = OracleChecker(theory, prune_unsat_cells=True)
+        unpruned = OracleChecker(theory, prune_unsat_cells=False)
         kmt = KMT(theory)
         pairs = [
             ("a = T; a := F", "a = T; a := F"),
@@ -136,7 +137,7 @@ class TestPruningAblation:
     def test_pruning_skips_inconsistent_cells(self):
         theory = IncNatTheory()
         kmt = KMT(theory)
-        checker = EquivalenceChecker(theory, prune_unsat_cells=True, cell_search="enumerate")
+        checker = OracleChecker(theory, prune_unsat_cells=True)
         p = kmt.parse("x > 5; x > 3; inc(x)")
         result = checker.check_equivalent(p, p)
         assert result.equivalent

@@ -1,10 +1,11 @@
 """Signature-guided cell search: behavior, caching, and the randomized
-differential test against the legacy cell enumerator.
+differential test against the reference cell enumerator
+(:mod:`repro.core.oracle`).
 
 The differential test is the acceptance gate for the solver-guided search:
-both strategies must return identical verdicts over generated terms, and
-every counterexample must be *valid* — its cell theory-satisfiable and its
-word accepted by exactly one side's restricted actions within that cell.
+it must return the reference's verdicts over generated terms, and every
+counterexample must be *valid* — its cell theory-satisfiable and its word
+accepted by exactly one side's restricted actions within that cell.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import random
 
 import pytest
 
-from repro.core import automata
 from repro.core import terms as T
 from repro.core.decision import EquivalenceChecker
 from repro.core.kmt import KMT
+from repro.core.oracle import OracleChecker, derivative_accepts
 from repro.engine.session import EngineSession
 from repro.theories.bitvec import BitVecTheory, BoolAssign, BoolEq
 from repro.theories.incnat import AssignNat, Gt, IncNatTheory, Incr
@@ -30,12 +31,8 @@ DIFFERENTIAL_PAIRS_PER_THEORY = 200
 # ---------------------------------------------------------------------------
 
 
-def accepts(action, word):
-    """Derivative-based membership: does the restricted action accept ``word``?"""
-    state = automata.canonical(action)
-    for pi in word:
-        state = automata.derivative(state, pi)
-    return automata.nullable(state)
+#: Derivative-based membership: does the restricted action accept ``word``?
+accepts = derivative_accepts
 
 
 def assert_valid_counterexample(theory, result):
@@ -60,8 +57,9 @@ class TestSignatureSearchBehavior:
         prefix = "a = T; b = T; c = T; d = T"
         left = f"{prefix}; (e := T)*"
         right = f"{prefix}; (e := T)*; (e := T)*"
-        sig = KMT(theory).check_equivalent(left, right)
-        enum = KMT(BitVecTheory(), cell_search="enumerate").check_equivalent(left, right)
+        kmt = KMT(theory)
+        sig = kmt.check_equivalent(left, right)
+        enum = OracleChecker(BitVecTheory()).check_equivalent(kmt.parse(left), kmt.parse(right))
         assert sig.equivalent and enum.equivalent
         assert sig.signatures_explored == 2
         assert enum.cells_explored == 2 ** 4
@@ -90,8 +88,11 @@ class TestSignatureSearchBehavior:
         assert result.cells_explored < result.signatures_explored
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            EquivalenceChecker(BitVecTheory(), cell_search="bogus")
+        """The cell strategy is no longer a knob: only the signature search ships."""
+        with pytest.raises(TypeError):
+            EquivalenceChecker(BitVecTheory(), cell_search="enumerate")
+        with pytest.raises(TypeError):
+            KMT(BitVecTheory(), cell_search="signature")
 
     def test_many_signatures_no_recursion_blowup(self):
         """Worst case: independent guards, signatures == cells.
@@ -112,11 +113,12 @@ class TestSignatureSearchBehavior:
             ("inc(x); x > 1", "inc(x); x > 2"),
             ("x > 1; inc(x) + inc(y)", "x > 1; inc(x)"),
         ]
-        for mode in ("signature", "enumerate"):
-            theory = IncNatTheory()
-            kmt = KMT(theory, cell_search=mode)
-            for left, right in pairs:
-                result = kmt.check_equivalent(left, right)
+        theory = IncNatTheory()
+        kmt = KMT(theory)
+        oracle = OracleChecker(IncNatTheory())
+        for left, right in pairs:
+            p, q = kmt.parse(left), kmt.parse(right)
+            for result in (kmt.check_equivalent(p, q), oracle.check_equivalent(p, q)):
                 assert not result.equivalent
                 assert_valid_counterexample(theory, result)
 
@@ -132,7 +134,7 @@ class TestSignatureSearchBehavior:
 
 
 # ---------------------------------------------------------------------------
-# randomized differential: signature search vs legacy enumerator
+# randomized differential: signature search vs reference enumerator
 # ---------------------------------------------------------------------------
 
 
@@ -155,7 +157,7 @@ def _leaf_term(rng, pred_leaf, action_leaf):
 
 def _random_term(rng, pred_leaf, action_leaf, depth):
     """A random small term.  Stars only wrap leaves: starred compound bodies
-    make ``language_compare`` state counts (and normal forms) explode, which
+    make derivative state counts (and normal forms) explode, which
     tests decision *performance*, not differential agreement — the scaling
     story lives in ``benchmarks/bench_cell_search.py``."""
     roll = rng.random()
@@ -218,8 +220,8 @@ def _equivalent_variant(rng, p, other, leaf):
 def _run_differential(theory_builder, seed, pairs=DIFFERENTIAL_PAIRS_PER_THEORY):
     theory, pred_leaf, action_leaf = theory_builder()
     rng = random.Random(seed)
-    signature = EquivalenceChecker(theory, budget=60_000, cell_search="signature")
-    enumerate_ = EquivalenceChecker(theory, budget=60_000, cell_search="enumerate")
+    signature = EquivalenceChecker(theory, budget=60_000)
+    enumerate_ = OracleChecker(theory, budget=60_000)
     compared = 0
     inequivalent = 0
     equivalent = 0

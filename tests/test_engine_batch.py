@@ -1,11 +1,19 @@
-"""Tests for the JSONL batch protocol, serve loop and CLI front end."""
+"""Tests for the JSONL batch protocol, the ordered single-worker serve loop
+and the CLI front end."""
 
 import io
 import json
 
 import pytest
 
-from repro.engine.batch import BatchRunner, SessionPool, run_batch_lines, serve
+from repro.engine.batch import BatchRunner, run_batch_lines
+from repro.engine.server import serve_stdio
+from repro.engine.session import ShardedSessionPool
+
+
+def serve(stdin, stdout):
+    """One request at a time, answered in input order."""
+    return serve_stdio(stdin, stdout, ordered=True, workers=1)
 
 
 def record(**fields):
@@ -120,7 +128,7 @@ class TestSessionAffinityAndCaching:
         assert runner.pool.theories() == ["bitvec", "incnat"]
 
     def test_pool_reuse_across_batches(self):
-        pool = SessionPool()
+        pool = ShardedSessionPool(stripes=1)
         run_batch_lines([record(op="norm", term="inc(x)*; x > 1")], pool=pool)
         _, pool = run_batch_lines([record(op="norm", term="inc(x)*; x > 1")], pool=pool)
         assert pool.session("incnat").caches.norm.stats.hits >= 1
@@ -169,9 +177,12 @@ class TestServeLoop:
         replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
         assert served == 3
         assert len(replies) == 3
-        assert replies[0]["result"]["satisfiable"] is True
-        assert replies[1]["result"]["satisfiable"] is True
-        assert "incnat" in replies[2]["result"]
+        by_id = {reply["id"]: reply for reply in replies}
+        assert by_id[0]["result"]["satisfiable"] is True
+        assert by_id[1]["result"]["satisfiable"] is True
+        # ``stats`` is answered inline as an immediate snapshot, so it may
+        # overtake the queued queries; it still reports the pool's shape.
+        assert by_id[2]["ok"] and "shared" in by_id[2]["result"]
 
     def test_serve_reports_malformed_lines(self):
         stdin = io.StringIO("{bad json\n")
@@ -272,7 +283,7 @@ class TestPoolStatsSharedTables:
     (bugfix: per-session totals used to re-count the shared table)."""
 
     def test_shared_deriv_reported_once(self):
-        pool = SessionPool()
+        pool = ShardedSessionPool(stripes=1)
         run_batch_lines(
             [
                 record(op="equiv", theory="incnat", left="inc(x); x > 1", right="x > 0; inc(x)"),
@@ -289,7 +300,7 @@ class TestPoolStatsSharedTables:
     def test_per_session_totals_exclude_shared_table(self):
         from repro.engine.cache import DERIVATIVE_CACHE
 
-        pool = SessionPool()
+        pool = ShardedSessionPool(stripes=1)
         run_batch_lines(
             [record(op="equiv", theory="incnat", left="inc(x); x > 1", right="x > 0; inc(x)")],
             pool=pool,
@@ -312,21 +323,14 @@ class TestSignatureFieldsInProtocol:
         assert result["signatures_explored"] >= 1
 
     def test_enumerate_mode_pool(self):
-        responses, _ = run_batch_lines(
-            [record(op="equiv", left="inc(x); x > 1", right="x > 0; inc(x)")],
-            cell_search="enumerate",
-        )
-        result = responses[0]["result"]
-        assert result["equivalent"] is True
-        assert result["signatures_explored"] == 0
-        assert result["cells_explored"] >= 1
+        """The cell enumerator is a test oracle, not a batch option."""
+        with pytest.raises(TypeError):
+            run_batch_lines([record(op="sat", pred="x > 1")], cell_search="enumerate")
 
     def test_explicit_pool_conflicting_cell_search_rejected(self):
-        pool = SessionPool(cell_search="signature")
-        with pytest.raises(ValueError):
+        pool = ShardedSessionPool(stripes=1)
+        with pytest.raises(TypeError):
             BatchRunner(pool=pool, cell_search="enumerate")
-        # Matching or unspecified values inherit the pool's strategy.
-        assert BatchRunner(pool=pool, cell_search="signature").pool is pool
         assert BatchRunner(pool=pool).pool is pool
 
 
@@ -366,3 +370,20 @@ class TestSetAndMapPresets:
         assert "maps" in THEORY_PRESET_NAMES
         assert build_theory("sets").describe() == "set(incnat)"
         assert build_theory("maps").describe() == "map(product(incnat, bitvec))"
+
+
+class TestHostileInput:
+    """One request that blows the interpreter stack must not abort the batch."""
+
+    DEEP = "(" * 3000 + "inc(x)" + ")" * 3000
+
+    def test_deep_input_answers_internal_error_and_batch_continues(self):
+        responses, _ = run_batch_lines([
+            record(op="equiv", id="deep", left=self.DEEP, right="inc(x)"),
+            record(op="equiv", id="ok", left="inc(x); x > 1", right="x > 0; inc(x)"),
+        ])
+        assert [r["id"] for r in responses] == ["deep", "ok"]
+        assert responses[0]["ok"] is False
+        assert responses[0]["error_code"] == "internal_error"
+        assert responses[1]["ok"] is True
+        assert responses[1]["result"]["equivalent"] is True

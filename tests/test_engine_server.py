@@ -16,7 +16,6 @@ import time
 import pytest
 
 from repro.core import automata
-from repro.engine.batch import serve
 from repro.engine.cache import DERIVATIVE_CACHE, EngineCaches, LRUCache
 from repro.engine.client import SocketClient
 from repro.engine.server import (
@@ -28,6 +27,11 @@ from repro.engine.server import (
 )
 from repro.engine.session import EngineSession
 from repro.theories import build_theory
+
+
+def serve(stdin, stdout):
+    """One request at a time, answered in input order."""
+    return serve_stdio(stdin, stdout, ordered=True, workers=1)
 
 
 def record(**fields):
@@ -396,15 +400,15 @@ class TestCliServe:
         assert len(replies) == 2
         assert "# served 1 requests" in captured.err
 
-    def test_serve_subcommand_legacy(self, monkeypatch, capsys):
+    def test_serve_subcommand_legacy(self, capsys):
+        """The blocking serve loop is gone: ``--legacy`` is a usage error
+        (``serve --ordered --workers 1`` answers strictly in order)."""
         from repro.cli import main
 
-        stdin = io.StringIO(record(op="sat", pred="x > 1") + "\n")
-        monkeypatch.setattr("sys.stdin", stdin)
-        code = main(["serve", "--legacy"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "# served 1 requests" in captured.err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--legacy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --legacy" in capsys.readouterr().err
 
 
 class TestEquivResultAliasingRegression:
@@ -462,22 +466,20 @@ class TestDerivativeCacheHijackRegression:
             automata.set_derivative_cache(saved)
 
     def test_pool_stats_report_what_is_installed(self):
-        from repro.engine.batch import SessionPool
-
         saved = automata.get_derivative_cache()
         try:
             automata.set_derivative_cache(None)
-            assert SessionPool().stats()["shared"]["tables"] == {}
+            assert ShardedSessionPool(stripes=1).stats()["shared"]["tables"] == {}
             replacement = LRUCache(maxsize=16, name="deriv")
             automata.set_derivative_cache(replacement)
-            shared = SessionPool().stats()["shared"]["tables"]
+            shared = ShardedSessionPool(stripes=1).stats()["shared"]["tables"]
             assert shared["deriv"] == replacement.stats.as_dict()
         finally:
             automata.set_derivative_cache(saved)
 
 
 class TestServeCountingRegression:
-    """``serve()`` used to count malformed lines as served requests."""
+    """The serve loop used to count malformed lines as served requests."""
 
     def test_malformed_lines_not_counted(self):
         stdin = io.StringIO("this is { not json\n" + record(op="ping") + "\n")
@@ -528,3 +530,23 @@ class TestStreamedBatchInput:
         captured = capsys.readouterr()
         assert code == 0
         assert json.loads(captured.out.splitlines()[0])["ok"] is True
+
+
+class TestProcessWorkerInternalError:
+    """A request that crashes inside a worker process (here: the interpreter
+    stack on 3000 nested parens) used to come back with id 0, not the
+    client's id."""
+
+    def test_internal_error_keeps_the_client_id(self):
+        deep = "(" * 3000 + "inc(x)" + ")" * 3000
+        stdin = io.StringIO("\n".join([
+            record(op="equiv", id="a", left=deep, right="inc(x)"),
+            record(op="sat", id="b", pred="x > 1"),
+        ]) + "\n")
+        stdout = io.StringIO()
+        serve_stdio(stdin, stdout, ordered=True, workers=1, backend="process")
+        replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert [(r["id"], r["ok"], r.get("error_code")) for r in replies] == [
+            ("a", False, "internal_error"),
+            ("b", True, None),
+        ]

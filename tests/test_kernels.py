@@ -1,17 +1,14 @@
-"""Tests for the flat-arena batched kernels (:mod:`repro.core.kernels`).
+"""Tests for the comparison and membership kernels (:mod:`repro.core.kernels`).
 
 Covers, layer by layer:
 
-* the seeded kernel differential required by the acceptance criteria: 200
-  pairs **per theory** (incnat, bitvec, sets) holding ``flat_compare`` /
-  ``flat_includes`` to *identical verdicts and identical shortest witness
-  words* against the legacy tuple walk, with the derivative
-  ``language_compare`` as verdict oracle and ``accepts_word`` validating
-  every witness — plus a forced pure-Python run proving the no-numpy
-  fallback keeps the same contract;
-* cooperative cancellation checkpoints inside the batched kernels (the
-  vectorized level BFS, the legacy-walk fallback, and both
-  ``accepts_batch`` paths);
+* the seeded kernel differential: 200 pairs **per theory** (incnat, bitvec,
+  sets) holding ``flat_compare`` / ``flat_includes`` to the derivative-based
+  reference (:mod:`repro.core.oracle`) — identical verdicts, every witness
+  accepted by exactly one side (the left side only, for inclusion), and
+  every witness as short as the oracle's shortest distinguishing word;
+* cooperative cancellation checkpoints inside the product walk and
+  ``accepts_batch``;
 * ``accepts_batch`` parity with the scalar ``accepts`` loop across batch
   sizes, unknown symbols, and the empty word;
 * the ``kernel`` trace phase and its counters;
@@ -19,16 +16,8 @@ Covers, layer by layer:
   tracking, and ``aut_bytes`` in every stats aggregation (session, sharded
   pool, merged worker blocks);
 * batched membership end to end (``member_nf_many`` → ``KMT.member_many``
-  → ``EngineSession.member_many``) against the scalar path on every
-  kernel/compile configuration;
-* the ``walk_kernel`` plumbing: validation, end-to-end flat/legacy
-  agreement through the full decision procedure, the pool/runner conflict
-  check, and the CLI flag.
-
-The vectorized BFS only engages above ``_BFS_NUMPY_MIN_PAIRS`` product
-codes in production (small walks are faster pair-at-a-time); the
-differential tests monkeypatch that floor to 0 so the random small automata
-genuinely exercise the numpy path when numpy is importable.
+  → ``EngineSession.member_many``) against the scalar path and the oracle;
+* the removed ``walk_kernel`` knob: rejected by every layer, CLI included.
 """
 
 from __future__ import annotations
@@ -39,16 +28,20 @@ import random
 import pytest
 
 from repro import cli
-from repro.core import kernels
 from repro.core import terms as T
 from repro.core.arena import ArenaPool, intern_sigma, sigma_index
-from repro.core.automata import language_compare
-from repro.core.compile import compile_automaton, compiled_compare, compiled_includes
-from repro.core.decision import WALK_KERNELS, EquivalenceChecker
+from repro.core.compile import compile_automaton
+from repro.core.decision import EquivalenceChecker
 from repro.core.kernels import accepts_batch, flat_compare, flat_includes
 from repro.core.kmt import KMT
+from repro.core.oracle import (
+    OracleChecker,
+    counterexample_word,
+    language_compare,
+    language_includes,
+)
 from repro.core.regexes import accepts_word
-from repro.engine.batch import BatchRunner, SessionPool
+from repro.engine.batch import BatchRunner
 from repro.engine.server import ShardedSessionPool, merge_pool_stats
 from repro.engine.session import EngineSession
 from repro.theories.bitvec import BitVecTheory, BoolAssign
@@ -122,9 +115,8 @@ def _equivalent_variant(rng, p, q):
 
 
 def _run_kernel_differential(action_leaf, seed, pairs):
-    """Hold flat vs legacy to tuple equality (verdict AND witness word) over
-    ``pairs`` seeded random automaton pairs, with the derivative oracle on
-    verdicts and one-sidedness checks on every witness."""
+    """Hold the kernels to the derivative oracle over ``pairs`` seeded random
+    automaton pairs: same verdicts, one-sided witnesses of shortest length."""
     rng = random.Random(seed)
     compared = inequivalent = equivalent = attempts = 0
     while compared < pairs:
@@ -135,37 +127,30 @@ def _run_kernel_differential(action_leaf, seed, pairs):
         if rng.random() < 0.45:
             p, q = _equivalent_variant(rng, p, q)
         a, b = compile_automaton(p), compile_automaton(q)
-        legacy_eq = compiled_compare(a, b)
-        flat_eq = flat_compare(a, b)
-        assert flat_eq == legacy_eq, f"compare mismatch on {p!r} vs {q!r}"
-        assert legacy_eq[0] == language_compare(p, q)[0], \
+        eq = flat_compare(a, b)
+        assert eq[0] == language_compare(p, q)[0], \
             f"derivative oracle disagrees on {p!r} vs {q!r}"
-        legacy_inc = compiled_includes(a, b)
-        flat_inc = flat_includes(a, b)
-        assert flat_inc == legacy_inc, f"includes mismatch on {p!r} vs {q!r}"
-        if legacy_eq[0]:
+        inc = flat_includes(a, b)
+        assert inc[0] == language_includes(p, q)[0], \
+            f"derivative oracle disagrees on {p!r} <= {q!r}"
+        if eq[0]:
             equivalent += 1
-            assert legacy_inc == (True, None)
+            assert eq == (True, None) and inc == (True, None)
         else:
             inequivalent += 1
-            word = flat_eq[1]
+            word = eq[1]
             assert accepts_word(p, word) != accepts_word(q, word)
-            if not flat_inc[0]:
-                witness = flat_inc[1]
+            assert len(word) == len(counterexample_word(p, q, max_length=64))
+            if not inc[0]:
+                witness = inc[1]
                 assert accepts_word(p, witness) and not accepts_word(q, witness)
+                shortest = counterexample_word(T.tplus(p, q), q, max_length=64)
+                assert len(witness) == len(shortest)
         compared += 1
     assert inequivalent >= 10 and equivalent >= 10  # both verdicts exercised
 
 
 class TestKernelDifferential:
-    @pytest.fixture(autouse=True)
-    def _engage_vectorized_bfs(self, monkeypatch):
-        # Production routes small products to the legacy walk; force the
-        # vectorized BFS (when numpy is importable) so these pairs actually
-        # differentiate it.  Without numpy the run is the pure fallback —
-        # the contract under test is identical either way.
-        monkeypatch.setattr(kernels, "_BFS_NUMPY_MIN_PAIRS", 0)
-
     def test_bitvec_differential(self):
         _run_kernel_differential(_bitvec_action, seed=20260807, pairs=KERNEL_PAIRS)
 
@@ -174,11 +159,6 @@ class TestKernelDifferential:
 
     def test_sets_differential(self):
         _run_kernel_differential(_sets_action, seed=20260809, pairs=KERNEL_PAIRS)
-
-    def test_forced_pure_python_fallback(self, monkeypatch):
-        """Same contract with numpy hidden (what the no-numpy CI lane runs)."""
-        monkeypatch.setattr(kernels, "_np", None)
-        _run_kernel_differential(_bitvec_action, seed=20260810, pairs=60)
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +187,7 @@ def _deep_chain_pair(n):
 
 
 class TestCancellation:
-    def test_cancel_inside_vectorized_bfs(self, monkeypatch):
-        if not kernels.HAVE_NUMPY:
-            pytest.skip("numpy unavailable: vectorized BFS never engages")
-        monkeypatch.setattr(kernels, "_BFS_NUMPY_MIN_PAIRS", 0)
-        a, b = _deep_chain_pair(6)
-        with pytest.raises(QueryCancelled):
-            flat_compare(a, b, cancel=_ticking_cancel(2))
-        with pytest.raises(QueryCancelled):
-            flat_includes(b, a, cancel=_ticking_cancel(2))
-
-    def test_cancel_inside_fallback_walk(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_np", None)
+    def test_cancel_inside_fallback_walk(self):
         a, b = _deep_chain_pair(6)
         with pytest.raises(QueryCancelled):
             flat_compare(a, b, cancel=_ticking_cancel(2))
@@ -233,16 +202,7 @@ class TestCancellation:
 
         assert flat_compare(a, b, cancel=explode) == (True, None)
 
-    def test_cancel_inside_accepts_batch_vectorized(self):
-        if not kernels.HAVE_NUMPY:
-            pytest.skip("numpy unavailable: vectorized membership never engages")
-        aut = compile_automaton(T.tstar(T.tplus(A, B)))
-        words = [(PI_A,) * 4] * kernels._BATCH_NUMPY_MIN
-        with pytest.raises(QueryCancelled):
-            accepts_batch(aut, words, cancel=_ticking_cancel(2))
-
-    def test_cancel_inside_accepts_batch_loop(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_np", None)
+    def test_cancel_inside_accepts_batch_loop(self):
         aut = compile_automaton(T.tstar(A))
         with pytest.raises(QueryCancelled):
             accepts_batch(aut, [(PI_A,)] * 10, cancel=_ticking_cancel(3))
@@ -272,14 +232,10 @@ class TestAcceptsBatch:
         assert accepts_batch(aut, words) == [aut.accepts(word) for word in words]
 
     def test_large_batch_matches_scalar_accepts(self):
-        self._parity(count=40)  # >= _BATCH_NUMPY_MIN: the gather path
+        self._parity(count=40)
 
     def test_small_batch_matches_scalar_accepts(self):
-        self._parity(count=3)  # < _BATCH_NUMPY_MIN: the loop path
-
-    def test_fallback_matches_scalar_accepts(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_np", None)
-        self._parity(count=40)
+        self._parity(count=3)
 
     def test_empty_batch(self):
         assert accepts_batch(compile_automaton(A), []) == []
@@ -311,21 +267,12 @@ class TestTraceCounters:
         assert trace.counters["kernel_fastpath_hits"] == 1
         assert trace.phase_counts.get("kernel") == 1
 
-    def test_bfs_levels_and_pairs_counted(self, monkeypatch):
-        if not kernels.HAVE_NUMPY:
-            pytest.skip("numpy unavailable: vectorized BFS never engages")
-        monkeypatch.setattr(kernels, "_BFS_NUMPY_MIN_PAIRS", 0)
-        a, b = _deep_chain_pair(4)
-        trace = self._traced(lambda: flat_compare(a, b))
-        assert trace.counters["kernel_levels"] >= 2
-        assert trace.counters["kernel_pairs"] >= 1
-        assert "kernel_fastpath_hits" not in trace.counters
-
-    def test_walk_fallback_counted(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_np", None)
+    def test_walk_fallback_counted(self):
         a, b = _deep_chain_pair(3)
         trace = self._traced(lambda: flat_compare(a, b))
         assert trace.counters["kernel_walk_fallbacks"] == 1
+        assert "kernel_fastpath_hits" not in trace.counters
+        assert trace.phase_counts.get("kernel") == 1
 
     def test_batch_words_counted(self):
         aut = compile_automaton(T.tstar(A))
@@ -412,13 +359,14 @@ class TestMemberMany:
         return [kmt.member(_MEMBER_TERM, word) for word in _MEMBER_WORDS]
 
     def test_matches_scalar_member_on_every_configuration(self):
-        for kwargs in (
-            {},
-            {"walk_kernel": "legacy"},
-            {"use_compiled": False},
-        ):
-            kmt = KMT(IncNatTheory(variables=("x", "y")), **kwargs)
-            assert kmt.member_many(_MEMBER_TERM, _MEMBER_WORDS) == self._expected(kmt), kwargs
+        theory = IncNatTheory(variables=("x", "y"))
+        kmt = KMT(theory)
+        verdicts = kmt.member_many(_MEMBER_TERM, _MEMBER_WORDS)
+        assert verdicts == self._expected(kmt)
+        oracle = OracleChecker(IncNatTheory(variables=("x", "y")))
+        nf = oracle.normalize(kmt.parse(_MEMBER_TERM))
+        assert verdicts == [oracle.member_nf(nf, kmt._coerce_word(word))
+                            for word in _MEMBER_WORDS]
 
     def test_session_member_many(self):
         session = EngineSession(IncNatTheory(variables=("x", "y")))
@@ -437,23 +385,22 @@ class TestMemberMany:
 
 
 # ---------------------------------------------------------------------------
-# walk_kernel plumbing
+# the removed walk_kernel knob
 # ---------------------------------------------------------------------------
 
 
 class TestWalkKernelPlumbing:
-    def test_known_kernels(self):
-        assert WALK_KERNELS == ("flat", "legacy")
-
     def test_invalid_walk_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            EquivalenceChecker(IncNatTheory(), walk_kernel="numpy")
-        with pytest.raises(ValueError):
-            KMT(IncNatTheory(), walk_kernel="")
+        with pytest.raises(TypeError):
+            EquivalenceChecker(IncNatTheory(), walk_kernel="flat")
+        with pytest.raises(TypeError):
+            KMT(IncNatTheory(), walk_kernel="legacy")
+        with pytest.raises(TypeError):
+            EngineSession(IncNatTheory(), walk_kernel="flat")
 
-    def test_flat_and_legacy_agree_through_the_decision_procedure(self):
-        flat = KMT(IncNatTheory(variables=("x", "y")))
-        legacy = KMT(IncNatTheory(variables=("x", "y")), walk_kernel="legacy")
+    def test_production_and_oracle_agree_through_the_decision_procedure(self):
+        kmt = KMT(IncNatTheory(variables=("x", "y")))
+        oracle = OracleChecker(IncNatTheory(variables=("x", "y")))
         pairs = [
             ("(inc(x))*; x > 1", "(inc(x))*; (inc(x))*; x > 1"),
             ("inc(x) + inc(y)", "inc(y) + inc(x)"),
@@ -461,35 +408,34 @@ class TestWalkKernelPlumbing:
             ("(inc(x))*", "inc(x)"),
         ]
         for left, right in pairs:
-            flat_result = flat.check_equivalent(left, right)
-            legacy_result = legacy.check_equivalent(left, right)
-            assert flat_result.equivalent == legacy_result.equivalent
-            if not flat_result.equivalent:
-                assert (flat_result.counterexample.word
-                        == legacy_result.counterexample.word)
+            result = kmt.check_equivalent(left, right)
+            reference = oracle.check_equivalent(kmt.parse(left), kmt.parse(right))
+            assert result.equivalent == reference.equivalent
+            if not result.equivalent:
+                cex = result.counterexample
+                assert accepts_word(cex.left_actions, cex.word) \
+                    != accepts_word(cex.right_actions, cex.word)
 
     def test_batch_runner_pool_conflict(self):
-        pool = SessionPool(walk_kernel="legacy")
-        with pytest.raises(ValueError, match="walk_kernel"):
+        pool = ShardedSessionPool(stripes=1)
+        with pytest.raises(TypeError):
             BatchRunner(pool=pool, walk_kernel="flat")
-        assert BatchRunner(pool=pool).pool.walk_kernel == "legacy"
-        assert BatchRunner(pool=pool, walk_kernel="legacy").pool is pool
-        assert BatchRunner(walk_kernel="legacy").pool.walk_kernel == "legacy"
-        assert BatchRunner().pool.walk_kernel == "flat"
+        assert BatchRunner(pool=pool).pool is pool
 
     def test_session_pool_builds_matching_sessions(self):
-        pool = SessionPool(walk_kernel="legacy")
+        pool = ShardedSessionPool(stripes=1, budget=1234)
         session = pool.session("incnat")
-        assert session.kmt.checker.walk_kernel == "legacy"
-        assert ShardedSessionPool(stripes=1, walk_kernel="legacy") \
-            .session("incnat", 0).kmt.checker.walk_kernel == "legacy"
+        assert session is pool.session("incnat", 0)
+        assert session.budget == 1234
+        assert session.kmt.checker.caches is session.caches
+        assert BatchRunner().pool.stripes == 1
 
     def test_cli_walk_kernel_flag(self, capsys):
-        base = ["--theory", "incnat", "--walk-kernel"]
-        assert cli.main(base + ["legacy", "equiv", "inc(x)", "inc(x)"]) == 0
-        assert "equivalent" in capsys.readouterr().out
-        assert cli.main(base + ["flat", "incl", "inc(x)", "inc(x) + inc(y)"]) == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit):  # argparse rejects unknown kernels
-            cli.main(base + ["nope", "equiv", "inc(x)", "inc(x)"])
-        capsys.readouterr()
+        for argv in (
+            ["--theory", "incnat", "--walk-kernel", "flat", "equiv", "inc(x)", "inc(x)"],
+            ["serve", "--walk-kernel", "flat"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            assert excinfo.value.code == 2  # argparse usage error
+            assert capsys.readouterr().err.startswith("usage: kmt")

@@ -1,7 +1,8 @@
 """End-to-end observability tests: tracing, metrics and logs through the stack.
 
 Exercises the ``"trace": true`` phase breakdown through the batch runner, the
-legacy serve loop, and the concurrent server under *both* execution backends
+ordered single-worker serve loop, and the concurrent server under *both*
+execution backends
 (the process backend round-trips the trace over the worker pipe); the
 ``metrics`` protocol op; the extended ``stats`` block (uptime, per-op counts,
 queue/exec latency split); the slow-query log; the Prometheus scrape endpoint
@@ -17,7 +18,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main
-from repro.engine.batch import BatchRunner, run_query, serve
+from repro.engine.batch import BatchRunner, run_query
 from repro.engine.server import QueryServer, serve_stdio
 from repro.engine.session import EngineSession
 from repro.engine.telemetry import MetricsExporter, configure_logging
@@ -177,21 +178,25 @@ class TestBatchRunnerObservability:
         assert not [e for e in events if e["event"] == "slow_query"]
 
 
-class TestLegacyServeObservability:
-    def test_trace_over_legacy_serve(self):
+class TestOrderedServeObservability:
+    """``serve_stdio(ordered=True, workers=1)``: one request at a time."""
+
+    def test_trace_over_ordered_serve(self):
         stdin = io.StringIO(record(op="equiv", left="inc(x); x > 1",
                                    right="x > 0; inc(x)", trace=True, id="q") + "\n")
         stdout = io.StringIO()
-        serve(stdin, stdout, default_theory="incnat")
+        serve_stdio(stdin, stdout, ordered=True, workers=1, default_theory="incnat")
         (response,) = _responses(stdout)
         _assert_trace_consistent(response["trace"])
 
-    def test_slow_query_log_over_legacy_serve(self, tmp_path, quiet_logging):
+    def test_slow_query_log_over_ordered_serve(self, tmp_path, quiet_logging):
         path = tmp_path / "slow.jsonl"
         configure_logging(level="warning", log_file=str(path))
         stdin = io.StringIO(record(op="sat", pred="x > 0", id="q") + "\n")
         stdout = io.StringIO()
-        serve(stdin, stdout, default_theory="incnat", slow_query_ms=0.0)
+        server = QueryServer(workers=1, default_theory="incnat", slow_query_ms=0.0)
+        serve_stdio(stdin, stdout, ordered=True, server=server)
+        server.shutdown(drain=True)
         (response,) = _responses(stdout)
         assert "trace" not in response
         events = [json.loads(line) for line in path.read_text().splitlines()]
@@ -395,12 +400,6 @@ class TestCliObservability:
         code = main(["--theory", "incnat", "batch", str(batch_file),
                      "--log-level", "debug"])
         assert code == 0
-
-    def test_serve_metrics_requires_concurrent_server(self, capsys):
-        code = main(["--theory", "incnat", "serve", "--legacy",
-                     "--metrics", "127.0.0.1:0"])
-        assert code == 2
-        assert "--metrics requires the concurrent server" in capsys.readouterr().err
 
     def test_serve_stdio_with_metrics_endpoint(self, tmp_path, capsys,
                                                monkeypatch, quiet_logging):

@@ -23,7 +23,6 @@ from hypothesis import given, settings
 
 from repro.core import arena
 from repro.engine import persist
-from repro.engine.batch import SessionPool
 from repro.engine.cache import LRUCache
 from repro.engine.persist import (
     CheckpointManager,
@@ -31,7 +30,7 @@ from repro.engine.persist import (
     make_payload,
     merge_payloads,
 )
-from repro.engine.session import EngineSession
+from repro.engine.session import EngineSession, ShardedSessionPool
 from repro.theories.bitvec import BitVecTheory
 from repro.utils.errors import SnapshotError
 from tests.conftest import bitvec_terms
@@ -86,14 +85,14 @@ class TestRoundTrip:
         assert counts["aut"] > 0
 
     def test_store_save_load_round_trip(self, tmp_path):
-        pool = SessionPool()
+        pool = ShardedSessionPool(stripes=1)
         session = pool.session("bitvec")
         session.check_equivalent("(b := T)*", "(b := T)*; (b := T)*")
         path = tmp_path / "snap.json"
         store = SnapshotStore(path)
         store.save(pool.export_snapshot())
 
-        warm_pool = SessionPool()
+        warm_pool = ShardedSessionPool(stripes=1)
         warm_pool.import_snapshot(store.load())
         warm = warm_pool.session("bitvec")
         result = warm.check_equivalent("(b := T)*", "(b := T)*; (b := T)*")
@@ -106,7 +105,7 @@ class TestRoundTrip:
 
 
 def _donor_snapshot(tmp_path):
-    pool = SessionPool()
+    pool = ShardedSessionPool(stripes=1)
     pool.session("bitvec").check_equivalent("(a := T)*", "(a := T)*; (a := T)*")
     path = tmp_path / "snap.json"
     SnapshotStore(path).save(pool.export_snapshot())
@@ -115,7 +114,7 @@ def _donor_snapshot(tmp_path):
 
 def _assert_rejected_cold(path):
     """Loading/importing ``path`` must fail with the stable code, no effects."""
-    pool = SessionPool()
+    pool = ShardedSessionPool(stripes=1)
     with pytest.raises(SnapshotError) as excinfo:
         pool.import_snapshot(SnapshotStore(path).load())
     assert excinfo.value.code == "snapshot_invalid"
@@ -189,7 +188,7 @@ class TestRejection:
 
     def test_failed_import_leaves_warm_caches_untouched(self, tmp_path):
         path = _donor_snapshot(tmp_path)
-        pool = SessionPool()
+        pool = ShardedSessionPool(stripes=1)
         session = pool.session("bitvec")
         session.check_equivalent("(b := F)*", "(b := F)*; (b := F)*")
         before = _table_sizes(session)
@@ -208,7 +207,7 @@ class TestRejection:
 
 class TestMergePayloads:
     def _payload(self, *pairs):
-        pool = SessionPool()
+        pool = ShardedSessionPool(stripes=1)
         session = pool.session("bitvec")
         for left, right in pairs:
             session.check_equivalent(left, right)
@@ -220,7 +219,7 @@ class TestMergePayloads:
         two = self._payload(shared, ("(b := F)*", "(b := F)*; (b := F)*"))
         merged = merge_payloads([one, two])
 
-        pool = SessionPool()
+        pool = ShardedSessionPool(stripes=1)
         counts = pool.import_snapshot(merged)["bitvec"]
         assert counts["equiv"] == 2  # the shared entry appears once
         warm = pool.session("bitvec")
@@ -239,7 +238,7 @@ class TestMergePayloads:
             self._payload(("(b := F)*", "(b := F)*; (b := F)*"))))
         stale["sessions"]["bitvec"]["theory"] = "bitvec(stale)"
         merged = merge_payloads([keep, stale])
-        counts = SessionPool().import_snapshot(merged)["bitvec"]
+        counts = ShardedSessionPool(stripes=1).import_snapshot(merged)["bitvec"]
         assert counts["equiv"] == 1  # the stale contributor's entry is dropped
 
     def test_malformed_contributor_is_skipped_not_fatal(self):
@@ -249,7 +248,7 @@ class TestMergePayloads:
         merged = merge_payloads([bad, keep])
         # The malformed payload came first, so its session slot exists but
         # contributes nothing; the good contributor still lands.
-        counts = SessionPool().import_snapshot(merged)["bitvec"]
+        counts = ShardedSessionPool(stripes=1).import_snapshot(merged)["bitvec"]
         assert counts["equiv"] == 1
 
 
@@ -260,7 +259,7 @@ class TestMergePayloads:
 
 class TestCheckpointManager:
     def test_cold_start_when_file_missing(self, tmp_path):
-        pool = SessionPool()
+        pool = ShardedSessionPool(stripes=1)
         manager = CheckpointManager(
             SnapshotStore(tmp_path / "snap.json"),
             pool.export_snapshot, importer=pool.import_snapshot)
@@ -271,14 +270,14 @@ class TestCheckpointManager:
 
     def test_final_checkpoint_on_close_and_reload(self, tmp_path):
         path = tmp_path / "snap.json"
-        pool = SessionPool()
+        pool = ShardedSessionPool(stripes=1)
         pool.session("bitvec").check_equivalent("(a := T)*", "(a := T)*; (a := T)*")
         manager = CheckpointManager(
             SnapshotStore(path), pool.export_snapshot, importer=pool.import_snapshot)
         manager.close()  # final checkpoint even without start()
         assert path.exists()
 
-        warm_pool = SessionPool()
+        warm_pool = ShardedSessionPool(stripes=1)
         warm_manager = CheckpointManager(
             SnapshotStore(path), warm_pool.export_snapshot,
             importer=warm_pool.import_snapshot)
@@ -291,7 +290,7 @@ class TestCheckpointManager:
     def test_corrupt_file_on_boot_is_logged_cold_start(self, tmp_path):
         path = tmp_path / "snap.json"
         path.write_text("garbage")
-        pool = SessionPool()
+        pool = ShardedSessionPool(stripes=1)
         manager = CheckpointManager(
             SnapshotStore(path), pool.export_snapshot, importer=pool.import_snapshot)
         assert manager.load() is None  # lenient: boot must not die on a bad file
