@@ -9,8 +9,8 @@ Replays mixed-theory workloads through four serving configurations:
   shard (concurrency machinery, no parallelism).
 * ``server_4`` — four worker *threads* with session striping.
 * ``server_proc_4`` — four worker *processes* (``--backend process``), each
-  holding its own warm sessions; requests cross the boundary in the compact
-  wire form.
+  holding its own warm sessions; request and response records cross the
+  process pipe as plain dicts.
 
 Two regimes are reported:
 

@@ -220,15 +220,13 @@ def cmd_batch(args):
     import contextlib
     import json
 
-    from repro.engine.batch import BatchRunner
+    from repro.engine.server import run_batch_lines
 
     _configure_observability(args)
-    runner = BatchRunner(default_theory=args.theory, budget=args.budget, jobs=args.jobs,
-                         slow_query_ms=args.slow_query_ms)
-    # The input is streamed into the runner one line at a time instead of
+    # The input is streamed into the server one line at a time instead of
     # readlines() — no duplicate raw-text buffer for `kmt batch -` on a large
-    # pipe.  (Parsed requests and responses are still materialized: the batch
-    # contract answers strictly in input order after executing everything.)
+    # pipe.  (Responses are still materialized: the batch contract answers
+    # strictly in input order after executing everything.)
     if args.file == "-":
         source = contextlib.nullcontext(sys.stdin)
     else:
@@ -239,7 +237,9 @@ def cmd_batch(args):
             return 2
     started = time.perf_counter()
     with source as lines:
-        responses = runner.run_lines(lines)
+        responses, pool = run_batch_lines(
+            lines, default_theory=args.theory, budget=args.budget, jobs=args.jobs,
+            slow_query_ms=args.slow_query_ms)
     elapsed = time.perf_counter() - started
     for response in responses:
         print(json.dumps(response, sort_keys=True))
@@ -249,7 +249,7 @@ def cmd_batch(args):
         file=sys.stderr,
     )
     if args.stats:
-        print(json.dumps(runner.pool.stats(), indent=2, sort_keys=True), file=sys.stderr)
+        print(json.dumps(pool.stats(), indent=2, sort_keys=True), file=sys.stderr)
     return 0 if failures == 0 else 1
 
 
@@ -556,8 +556,8 @@ def make_arg_parser():
     )
     batch.add_argument("file", help="JSONL file of requests, or '-' for stdin")
     batch.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker threads (default: one per distinct theory in the batch)",
+        "--jobs", type=int, default=4,
+        help="worker threads executing queries (default: 4)",
     )
     batch.add_argument(
         "--stats", action="store_true", help="dump cache hit/miss stats to stderr"

@@ -15,14 +15,15 @@ that work across queries:
   normalizer, the signature search and the automata module, and
   :class:`ShardedSessionPool`, which keeps one session per
   ``(theory, stripe)``;
-* :mod:`repro.engine.batch` — a JSONL batch protocol, dispatching work across
-  per-theory sessions on a ``concurrent.futures`` pool;
-* :mod:`repro.engine.server` — the concurrent query server: bounded intake
-  queue with backpressure, per-``(theory, stripe)`` session shards pinned to
-  workers (threads in-process, or worker *processes* for true CPU
-  parallelism — crashed workers are respawned by a supervisor), per-request
-  deadlines with cooperative cancellation, out-of-order or ordered emission,
-  and stdio/TCP front ends;
+* :mod:`repro.engine.batch` — the JSONL protocol: request classification,
+  stable error codes, and execution of one query record on a session;
+* :mod:`repro.engine.server` — the one scheduler every query goes through:
+  bounded intake queue with backpressure, per-``(theory, stripe)`` session
+  shards pinned to workers (threads in-process, or worker *processes* for
+  true CPU parallelism — crashed workers are respawned by a supervisor),
+  per-request deadlines with cooperative cancellation, out-of-order or
+  ordered emission, and the stdio/TCP (``kmt serve``) and batch
+  (``kmt batch``) front ends;
 * :mod:`repro.engine.telemetry` — per-request span tracing (``"trace": true``
   phase breakdowns), the counters/gauges/histogram metrics registry with
   Prometheus exposition, and the JSON-lines structured event log.
@@ -42,18 +43,18 @@ from repro.engine.telemetry import (
     render_prometheus,
 )
 from repro.engine.session import EngineSession, ShardedSessionPool
-from repro.engine.batch import BatchRunner, run_batch_lines, run_query
+from repro.engine.batch import run_query
 from repro.engine.server import (
     ProcessExecutionBackend,
     QueryServer,
     ResponseSink,
     SocketServer,
     ThreadExecutionBackend,
+    run_batch_lines,
     serve_stdio,
 )
 
 __all__ = [
-    "BatchRunner",
     "CacheStats",
     "EngineCaches",
     "EngineSession",

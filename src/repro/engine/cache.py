@@ -1,7 +1,7 @@
 """Bounded LRU memo tables with hit/miss accounting.
 
-Every table is thread-safe (the batch front end runs per-theory sessions on a
-``concurrent.futures`` pool, and the derivative table is shared process-wide)
+Every table is thread-safe (the query server runs sessions on worker
+threads, and the derivative table is shared process-wide)
 and exposes :class:`CacheStats` so callers can verify that repeated work is
 actually being reused — the acceptance criterion for the batch front end.
 

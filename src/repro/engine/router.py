@@ -667,7 +667,7 @@ class Router:
         if kind == "control":
             record = payload
             fallback_id = lineno if lineno is not None else record.get("id")
-            sink.emit_now(self._control_response(record, fallback_id))
+            sink.emit_now(lambda: self._control_response(record, fallback_id))
             return "control"
         seq = sink.next_seq()
         fallback_id = lineno if lineno is not None else seq

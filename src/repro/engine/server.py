@@ -1,8 +1,12 @@
-"""A concurrent JSONL query server with shard affinity and session striping.
+"""The query scheduler and its front ends: ``kmt serve`` and ``kmt batch``.
 
-The protocol is the same JSONL request/response format as ``kmt batch`` (see
-:mod:`repro.engine.batch` — parsing, validation and query execution are
-literally shared), extended with serving concerns:
+Every query takes one path: a front end feeds raw JSONL lines (the protocol
+of :mod:`repro.engine.batch`) to :meth:`QueryServer.submit_line`, the
+scheduler routes the record to a shard, and a backend runs it through
+:func:`execute_record`.  The front ends differ only in how they feed lines and
+write responses — :func:`serve_stdio` and :class:`SocketServer` serve a live
+stream, :func:`run_batch_lines` answers a file in input order.  The scheduler
+supplies the serving concerns:
 
 * **Bounded intake queue with backpressure** — at most ``queue_limit``
   requests are in flight; a submitter either blocks (stdin / per-connection
@@ -15,8 +19,8 @@ literally shared), extended with serving concerns:
   hashing the query *content*, so identical queries always land on the same
   warm session (cache affinity) while distinct queries for one hot theory
   spread over ``stripes`` sessions instead of serializing on a single
-  session the way ``BatchRunner._execute_grouped`` does.  Each shard is
-  pinned to exactly one worker thread, so sessions are never contended.
+  session.  Each shard is pinned to exactly one worker thread, so sessions
+  are never contended.
 
 * **Out-of-order completion with correct ids** — responses are emitted as
   soon as their worker finishes; every response carries the request's ``id``
@@ -45,7 +49,9 @@ literally shared), extended with serving concerns:
   observability keeps working when the queue is jammed — which makes
   ``stats`` an *immediate snapshot*: it does not wait for queries submitted
   earlier on the same stream (wait for their responses first if you want
-  post-work numbers).
+  post-work numbers).  The batch front end is the exception: its sink holds
+  a control line until every earlier query has answered, so a trailing
+  ``stats`` counts the whole batch.
 
 * **Pluggable execution backends** — one scheduler (intake, shard routing,
   deadlines, ordering, drain) drives either of two execution backends.  The
@@ -56,9 +62,9 @@ literally shared), extended with serving concerns:
   still serializes.  The ``process`` backend pins each shard's worker to a
   *worker process* (``multiprocessing``, spawn-safe) holding its own warm
   sessions and caches, so CPU-bound queries genuinely parallelize across
-  cores.  Requests and responses cross the process boundary in the validated
-  compact wire form (:func:`repro.engine.batch.encode_wire_request` and
-  friends), deadlines are re-anchored in the worker's clock and cancelled
+  cores.  Request and response records cross the process pipe as the plain
+  dicts they are (both ends are the same build, spawned by the same
+  supervisor), deadlines are re-anchored in the worker's clock and cancelled
   cooperatively there, per-worker cache stats are merged into the ``stats``
   response, and a supervisor detects a crashed worker, respawns it, and
   answers the in-flight request with a structured ``worker_crashed`` error —
@@ -83,19 +89,18 @@ from queue import Full, Queue
 
 from repro.core.pushback import DEFAULT_BUDGET
 from repro.engine.batch import (
+    CONTROL_OPS,
     DEFAULT_THEORY,
     ERROR_DEADLINE,
     ERROR_INTERNAL,
     ERROR_INVALID,
     ERROR_QUEUE_FULL,
     ERROR_SHUTDOWN,
+    ERROR_UNKNOWN_OP,
     ERROR_UNKNOWN_THEORY,
     ERROR_WORKER_CRASHED,
+    QUERY_OPS,
     classify_query_error,
-    decode_wire_request,
-    decode_wire_response,
-    encode_wire_request,
-    encode_wire_response,
     error_response,
     parse_request_line,
     run_query,
@@ -103,13 +108,15 @@ from repro.engine.batch import (
 from repro.engine.session import ShardedSessionPool, merge_pool_stats
 from repro.engine.telemetry import (
     MetricsRegistry,
+    configure_logging,
     empty_snapshot,
     log_event,
+    logging_target,
     merge_metrics,
     render_prometheus,
 )
 from repro.theories import build_theory
-from repro.utils.errors import DeadlineExceeded, KmtError, WireProtocolError, WorkerCrashed
+from repro.utils.errors import DeadlineExceeded, KmtError, WorkerCrashed
 
 _log = logging.getLogger("kmt.server")
 
@@ -183,9 +190,9 @@ def execute_record(pool, record, default_theory, fallback_id, cancel=None,
             # ``"trace": true`` requests get their phase breakdown attached
             # here — under the session lock, so the cache deltas in the trace
             # belong to this request alone.  Inside a worker process this is
-            # where the trace block enters the response; it then crosses the
-            # pipe as a wire-form extra field, byte-exact, and the scheduler
-            # re-anchors queue/total timings in its own clock domain.
+            # where the trace block enters the response; it crosses the pipe
+            # with the rest of the record, and the scheduler re-anchors
+            # queue/total timings in its own clock domain.
             base["result"], trace_payload = run_query(session, record, cancel=cancel)
             if trace_payload is not None:
                 base["trace"] = trace_payload
@@ -301,11 +308,15 @@ def _process_worker_main(conn, config):
 
     # The parent owns lifecycle (SIGTERM drain in the CLI, KeyboardInterrupt
     # in a terminal); a stray SIGINT to the process group must not corrupt
-    # the wire conversation mid-message.
+    # the pipe conversation mid-message.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # not the main thread, exotic platform
         pass
+    if config["log"] is not None:
+        # A spawned worker starts with logging unconfigured; repeat the
+        # parent's setup so worker-side events land in the same log.
+        configure_logging(*config["log"])
     pool = ShardedSessionPool(
         stripes=config["stripes"],
         budget=config["budget"],
@@ -359,11 +370,9 @@ def _process_worker_main(conn, config):
             conn.send(("stats", seq,
                        {"pool": pool.stats(), "metrics": _full_metrics(metrics)}))
             continue
-        _, seq, wire, fallback_id, remaining_ms, deadline_ms = message
+        _, seq, record, fallback_id, remaining_ms, deadline_ms = message
         exec_started = time.monotonic()
-        record = {}  # until decoded: error responses then carry fallback_id
         try:
-            record = decode_wire_request(wire)
             cancel = None
             if remaining_ms is not None:
                 # Deadlines are re-anchored in this process's clock: the
@@ -375,17 +384,13 @@ def _process_worker_main(conn, config):
                     if time.monotonic() >= local_deadline:
                         raise DeadlineExceeded(deadline_ms)
             response = execute_record(pool, record, default_theory, fallback_id, cancel)
-        except WireProtocolError as error:
-            response = error_response({}, fallback_id, None, str(error), error.code)
         except Exception as error:  # noqa: BLE001 — a worker must never die on one request
-            response = error_response(record, fallback_id, None,
+            theory = str(record.get("theory", default_theory)).lower()
+            log_event(_log, logging.ERROR, "internal_error",
+                      request_id=record.get("id", fallback_id), op=record.get("op"),
+                      theory=theory, error=repr(error))
+            response = error_response(record, fallback_id, theory,
                                       f"worker internal error: {error}", ERROR_INTERNAL)
-        try:
-            wire_response = encode_wire_response(response)
-        except WireProtocolError as error:
-            wire_response = encode_wire_response(error_response(
-                record, fallback_id, None, f"response not wire-serializable: {error}",
-                ERROR_INTERNAL))
         served += 1
         metrics.inc("worker_requests_total", (
             ("worker", worker_label),
@@ -407,7 +412,7 @@ def _process_worker_main(conn, config):
         # the parent by ``merge_metrics``, like ``merge_pool_stats``.
         snapshot = {"pool": pool.stats(), "metrics": _full_metrics(metrics)} \
             if served <= 4 or served % _STATS_SNAPSHOT_PERIOD == 0 else None
-        conn.send(("done", seq, wire_response, snapshot))
+        conn.send(("done", seq, response, snapshot))
 
 
 class _WorkerHandle:
@@ -437,7 +442,7 @@ class _WorkerHandle:
 
     def _spawn(self):
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        config = dict(self._config, worker_index=self.index)
+        config = dict(self._config, worker_index=self.index, log=logging_target())
         process = self._ctx.Process(
             target=_process_worker_main, args=(child_conn, config),
             name=f"kmt-server-proc-{self.index}", daemon=True,
@@ -548,7 +553,7 @@ class ProcessExecutionBackend:
     (plus a private derivative memo); the scheduler's shard→worker pinning
     means a given ``(theory, stripe)`` shard always executes in the same
     process, so cache affinity works exactly as in the thread backend.
-    Requests/responses cross the pipe in the compact wire form; theory
+    Request and response records cross the pipe as plain dicts; theory
     injection crosses by ``theory_factory_spec`` (``"module:attribute"``,
     resolved inside each worker).  A crashed worker is respawned by its
     dispatcher thread and the in-flight request answered with a structured
@@ -559,7 +564,7 @@ class ProcessExecutionBackend:
     name = "process"
 
     def __init__(self, workers, stripes, budget=DEFAULT_BUDGET, default_theory=DEFAULT_THEORY,
-                 theory_factory_spec=None, start_method="spawn"):
+                 theory_factory_spec=None):
         if theory_factory_spec is not None:
             # Fail fast in the parent on a bad spec instead of crash-looping
             # every worker at spawn.
@@ -571,7 +576,9 @@ class ProcessExecutionBackend:
             "default_theory": default_theory,
             "theory_factory_spec": theory_factory_spec,
         }
-        self._ctx = multiprocessing.get_context(start_method)
+        # Spawn, never fork: the supervisor runs threads, and a forked child
+        # would inherit their locks mid-operation.
+        self._ctx = multiprocessing.get_context("spawn")
         self._handles = []
         self._stats_lock = threading.Lock()
         self._last_pool_stats = {}  # worker index -> latest cache-stats snapshot
@@ -651,21 +658,15 @@ class ProcessExecutionBackend:
             # The queued-too-long case was already answered by the scheduler;
             # anything left is the execution budget, re-anchored worker-side.
             remaining_ms = max(0.001, (request.deadline - time.monotonic()) * 1000.0)
-        try:
-            wire = encode_wire_request(record)
-        except WireProtocolError as error:
-            return error_response(record, request.fallback_id, request.theory,
-                                  str(error), error.code)
         generation = handle.generation
         try:
-            reply = handle.call("exec", wire, request.fallback_id, remaining_ms,
+            reply = handle.call("exec", record, request.fallback_id, remaining_ms,
                                 request.deadline_ms)
             if reply[0] != "done":
                 raise WorkerCrashed(
                     f"worker process {handle.index} (pid {handle.pid}) broke protocol "
                     f"(sent {reply[0]!r})")
-            _, _, wire_response, snapshot = reply
-            response = decode_wire_response(wire_response)
+            _, _, response, snapshot = reply
         except WorkerCrashed as crash:
             crashed_pid = handle.pid
             handle.respawn(generation)
@@ -867,14 +868,17 @@ class ResponseSink:
                 self._next_emit += 1
                 self._write(ready)
 
-    def emit_now(self, response):
-        """Write immediately, outside the sequence stream (control responses).
+    def emit_now(self, build):
+        """Write ``build()`` immediately, outside the sequence stream.
 
-        ``stats``/``ping`` replies jump the line even under ordered mode —
-        observability must not wait behind jammed queries — so they carry no
-        sequence number and do not count toward :meth:`wait_drained`.
+        Control responses (``stats``/``ping``/``metrics``) jump the line even
+        under ordered mode — observability must not wait behind jammed
+        queries — so they carry no sequence number and do not count toward
+        :meth:`wait_drained`.  The response is built here rather than by the
+        caller so a sink that holds controls back (the batch sink) reports
+        the state after the queries it waited for.
         """
-        line = json.dumps(response, sort_keys=True)
+        line = json.dumps(build(), sort_keys=True)
         with self._lock:
             if not self.broken:
                 try:
@@ -922,8 +926,7 @@ class QueryServer:
 
     def __init__(self, workers=4, stripes=None, queue_limit=128, default_theory=DEFAULT_THEORY,
                  budget=DEFAULT_BUDGET, theory_factory=None, pool=None, backend="thread",
-                 theory_factory_spec=None, start_method="spawn", slow_query_ms=None,
-                 enable_metrics=True):
+                 theory_factory_spec=None, slow_query_ms=None, enable_metrics=True):
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         if queue_limit < 1:
@@ -952,7 +955,6 @@ class QueryServer:
             self.backend = ProcessExecutionBackend(
                 workers=workers, stripes=self.stripes, budget=budget,
                 default_theory=default_theory, theory_factory_spec=theory_factory_spec,
-                start_method=start_method,
             )
         else:
             if theory_factory is not None and theory_factory_spec is not None:
@@ -1088,7 +1090,7 @@ class QueryServer:
             # buffering so observability works while the queue is jammed.
             record = payload
             fallback_id = lineno if lineno is not None else record.get("id")
-            sink.emit_now(self._control_response(record, fallback_id))
+            sink.emit_now(lambda: self._control_response(record, fallback_id))
             return "control"
         seq = sink.next_seq()
         fallback_id = lineno if lineno is not None else seq
@@ -1171,12 +1173,15 @@ class QueryServer:
             request.dispatched = time.monotonic()
             with self._state:
                 self._queued -= 1
+            op = request.record.get("op", "unknown")
             try:
                 response = self._execute(worker_index, request)
             except Exception as error:  # noqa: BLE001 — a lost seq wedges ordered sinks
-                message, code = str(error), ERROR_INTERNAL
+                log_event(_log, logging.ERROR, "internal_error",
+                          request_id=request.record.get("id", request.fallback_id),
+                          op=op, theory=request.theory, error=repr(error))
                 response = error_response(request.record, request.fallback_id,
-                                          request.theory, message, code)
+                                          request.theory, str(error), ERROR_INTERNAL)
             # One clock read covers the latency sample, its queue/exec split
             # and the trace's re-anchored totals, so they can never disagree.
             done = time.monotonic()
@@ -1197,21 +1202,18 @@ class QueryServer:
                     # plumbing uses.
                     trace_block["queue_ms"] = round(queue_s * 1000.0, 3)
                     trace_block["total_ms"] = round(latency * 1000.0, 3)
-            request.sink.emit(request.seq, response)
-            self._capacity.release()
-            op = request.record.get("op", "unknown")
+            # Count the request before its response is written: a client
+            # that reads the answer and then asks for ``stats``/``metrics``
+            # must find it counted (the batch front end relies on this).
+            code = response.get("error_code")
             with self._state:
-                self._in_flight -= 1
                 self._completed += 1
                 self._op_counts[op] = self._op_counts.get(op, 0) + 1
                 self._latencies.append(latency)
                 self._queue_latencies.append(queue_s)
                 self._exec_latencies.append(exec_s)
-                code = response.get("error_code")
                 if code is not None:
                     self._error_counts[code] = self._error_counts.get(code, 0) + 1
-                if self._in_flight == 0:
-                    self._idle.notify_all()
             if self.metrics is not None:
                 labels = (("theory", request.theory), ("op", op))
                 self.metrics.inc("requests_total",
@@ -1219,6 +1221,12 @@ class QueryServer:
                 self.metrics.observe("request_latency_ms", latency * 1000.0, labels)
                 self.metrics.observe("queue_latency_ms", queue_s * 1000.0, labels)
                 self.metrics.observe("exec_latency_ms", exec_s * 1000.0, labels)
+            request.sink.emit(request.seq, response)
+            self._capacity.release()
+            with self._state:
+                self._in_flight -= 1
+                if self._in_flight == 0:
+                    self._idle.notify_all()
             if self.slow_query_ms is not None and latency * 1000.0 >= self.slow_query_ms:
                 log_event(_log, logging.WARNING, "slow_query",
                           request_id=response.get("id"), op=op,
@@ -1240,7 +1248,7 @@ class QueryServer:
         if self.slow_query_ms is not None and not request.wants_trace:
             # Force a trace so a slow offender can be logged with its full
             # phase breakdown; the worker loop strips it from the client
-            # response.  The flag crosses the process pipe as a wire extra.
+            # response.  The flag crosses the process pipe with the record.
             request.record["trace"] = True
         return self.backend.execute(worker_index, request)
 
@@ -1446,6 +1454,55 @@ def serve_stdio(stdin, stdout, workers=4, stripes=None, queue_limit=128, ordered
             server.wait_idle()
         sink.wait_drained(timeout=5.0)
     return served
+
+
+class _BatchSink(ResponseSink):
+    """Ordered sink collecting a batch's response lines.
+
+    A control line waits until every query before it has answered, so it
+    lands at its input position and reports the state after them.
+    """
+
+    def __init__(self):
+        self.lines = []
+        super().__init__(self.lines.append, ordered=True)
+
+    def emit_now(self, build):
+        self.wait_drained()
+        super().emit_now(build)
+
+
+def run_batch_lines(lines, default_theory=DEFAULT_THEORY, budget=DEFAULT_BUDGET, jobs=4,
+                    pool=None, slow_query_ms=None):
+    """Answer a JSONL batch in input order; returns ``(responses, pool)``.
+
+    The lines go through the same :class:`QueryServer` as ``kmt serve`` (thread
+    backend, ``jobs`` workers) over ``pool`` — by default a fresh
+    :class:`ShardedSessionPool` with one stripe, so each theory's queries
+    share one warm session.  ``lines`` is consumed lazily, one line at a
+    time.  Blank lines and ``#`` comments get no response; a record without
+    an ``id`` gets its 0-based input line number.  ``quit`` is answered
+    ``unknown_op`` (it only means something to ``serve``) and the batch goes
+    on.
+    """
+    if pool is None:
+        pool = ShardedSessionPool(stripes=1, budget=budget)
+    server = QueryServer(workers=jobs, default_theory=default_theory, pool=pool,
+                         slow_query_ms=slow_query_ms)
+    sink = _BatchSink()
+    server.start()
+    try:
+        for lineno, raw in enumerate(lines):
+            if server.submit_line(raw, sink, lineno=lineno) == "quit":
+                _, record = parse_request_line(raw)
+                server._count_error(ERROR_UNKNOWN_OP)
+                sink.emit(sink.next_seq(), error_response(
+                    record, lineno, None,
+                    "op 'quit' is only valid in serve mode; expected one of "
+                    f"{', '.join(QUERY_OPS + CONTROL_OPS)}", ERROR_UNKNOWN_OP))
+    finally:
+        server.shutdown(drain=True)
+    return [json.loads(line) for line in sink.lines], pool
 
 
 #: Per-connection bound on responses waiting for a slow client to read them.

@@ -309,7 +309,7 @@ class ShardedSessionPool:
 
     A hot theory gets up to ``stripes`` independent sessions so its queries
     can be spread over that many workers; ``stripes=1`` is one session per
-    theory (the batch runner's pool).  ``theory_factory`` (default
+    theory (the batch front end's default pool).  ``theory_factory`` (default
     :func:`repro.theories.build_theory`) is the injection point for wrapped
     theories in tests and benchmarks.
     """

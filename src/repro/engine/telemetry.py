@@ -470,6 +470,22 @@ def configure_logging(level="info", log_file=None, stream=None):
     return logger
 
 
+def logging_target():
+    """The configured ``kmt`` log as plain data, for a spawned process.
+
+    ``(level, log_file)`` — ``log_file`` is ``None`` for a stream handler,
+    which the child re-creates on its own stderr — or ``None`` when logging
+    is off.  ``configure_logging(*logging_target())`` repeats the setup.
+    """
+    logger = logging.getLogger("kmt")
+    for handler in logger.handlers:
+        if isinstance(handler, logging.NullHandler):
+            continue
+        log_file = handler.baseFilename if isinstance(handler, logging.FileHandler) else None
+        return logging.getLevelName(logger.level), log_file
+    return None
+
+
 def log_event(logger, level, event, **fields):
     """Emit one structured event (a no-op when ``level`` is not enabled)."""
     if logger.isEnabledFor(level):

@@ -120,21 +120,6 @@ class CounterexampleBoundExceeded(KmtError):
         )
 
 
-class WireProtocolError(KmtError):
-    """A compact wire-form request/response failed to encode or decode.
-
-    The wire form (:func:`repro.engine.batch.encode_wire_request` and
-    friends) is what the query server ships across the process boundary to
-    its worker processes.  ``code`` is the stable machine-readable
-    ``error_code`` a front end should put on the error response (one of the
-    ``ERROR_*`` constants in :mod:`repro.engine.batch`).
-    """
-
-    def __init__(self, message, code="malformed_request"):
-        self.code = code
-        super().__init__(message)
-
-
 class SnapshotError(KmtError):
     """A persisted cache snapshot could not be written, read, or applied.
 

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.analysis import checks
-from repro.engine.batch import run_batch_lines
+from repro.engine.server import run_batch_lines
 from repro.engine.server import serve_stdio
 from repro.engine.session import EngineSession
 from repro.theories import build_theory

@@ -7,7 +7,7 @@ Covers, layer by layer:
   with ``less_or_equal``);
 * the engine session's ``aut`` LRU (warm reuse across queries,
   ``states_compiled`` accounting in every stats aggregation);
-* the batch protocol / wire codec / server / CLI surface of the
+* the batch protocol / server / CLI surface of the
   ``inclusion`` and ``member`` request kinds;
 * the randomized differential harness: 200 seeded pairs across IncNat +
   BitVec + Sets, asserting identical equivalence, inclusion, membership and
@@ -22,21 +22,12 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import terms as T
 from repro.core.decision import EquivalenceChecker, InclusionResult
 from repro.core.kmt import KMT
 from repro.core.oracle import OracleChecker, derivative_accepts
-from repro.engine.batch import (
-    decode_wire_request,
-    decode_wire_response,
-    encode_wire_request,
-    encode_wire_response,
-    run_batch_lines,
-)
-from repro.engine.server import QueryServer, ResponseSink, merge_pool_stats
+from repro.engine.server import QueryServer, ResponseSink, merge_pool_stats, run_batch_lines
 from repro.engine.session import EngineSession
 from repro.theories.bitvec import BitVecTheory, BoolAssign, BoolEq
 from repro.theories.incnat import AssignNat, Gt, IncNatTheory, Incr
@@ -332,54 +323,6 @@ class TestServerBackends:
     @pytest.mark.slow
     def test_process_backend_executes_new_ops(self):
         _serve_new_ops("process")
-
-
-# ---------------------------------------------------------------------------
-# wire codec round-trips for the new request kinds
-# ---------------------------------------------------------------------------
-
-
-_word_values = st.lists(st.text(max_size=16), max_size=4) | st.text(max_size=16)
-
-
-@st.composite
-def new_op_requests(draw):
-    op = draw(st.sampled_from(["inclusion", "member"]))
-    record = {"op": op}
-    if op == "inclusion":
-        for field in ("left", "right"):
-            if draw(st.booleans()) or draw(st.booleans()):
-                record[field] = draw(st.text(max_size=30))
-    else:
-        if draw(st.booleans()) or draw(st.booleans()):
-            record["term"] = draw(st.text(max_size=30))
-        if draw(st.booleans()) or draw(st.booleans()):
-            record["word"] = draw(_word_values)
-    if draw(st.booleans()):
-        record["id"] = draw(st.integers(-10**6, 10**6) | st.text(max_size=12))
-    if draw(st.booleans()):
-        record["theory"] = draw(st.text(max_size=12))
-    if draw(st.booleans()):
-        record["deadline_ms"] = draw(st.integers(1, 10**6))
-    return record
-
-
-class TestWireRoundTrip:
-    @given(record=new_op_requests())
-    def test_new_op_requests_round_trip_exactly(self, record):
-        assert decode_wire_request(encode_wire_request(record)) == record
-
-    @given(
-        includes=st.booleans(),
-        witness=st.lists(st.text(max_size=8), max_size=4),
-        request_id=st.integers(-10**6, 10**6) | st.text(max_size=8),
-    )
-    def test_new_op_responses_round_trip_exactly(self, includes, witness, request_id):
-        response = {
-            "id": request_id, "ok": True, "op": "inclusion", "theory": "incnat",
-            "result": {"includes": includes, "witness_word": witness},
-        }
-        assert decode_wire_response(encode_wire_response(response)) == response
 
 
 # ---------------------------------------------------------------------------

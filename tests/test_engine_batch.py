@@ -6,8 +6,7 @@ import json
 
 import pytest
 
-from repro.engine.batch import BatchRunner, run_batch_lines
-from repro.engine.server import serve_stdio
+from repro.engine.server import run_batch_lines, serve_stdio
 from repro.engine.session import ShardedSessionPool
 
 
@@ -122,10 +121,9 @@ class TestSessionAffinityAndCaching:
             record(op="sat", theory="incnat", pred="x > 2"),
             record(op="sat", theory="bitvec", pred="a = T; ~(a = T)"),
         ]
-        runner = BatchRunner()
-        responses = runner.run_lines(lines)
+        responses, pool = run_batch_lines(lines)
         assert [r["theory"] for r in responses] == ["incnat", "bitvec", "incnat", "bitvec"]
-        assert runner.pool.theories() == ["bitvec", "incnat"]
+        assert pool.theories() == ["bitvec", "incnat"]
 
     def test_pool_reuse_across_batches(self):
         pool = ShardedSessionPool(stripes=1)
@@ -133,26 +131,74 @@ class TestSessionAffinityAndCaching:
         _, pool = run_batch_lines([record(op="norm", term="inc(x)*; x > 1")], pool=pool)
         assert pool.session("incnat").caches.norm.stats.hits >= 1
 
+    JOBS_LINES = [
+        record(op="equiv", theory="incnat", left="inc(x); x > 1", right="x > 0; inc(x)"),
+        record(op="equiv", theory="bitvec", left="a := T; a = T", right="a := T"),
+        record(op="sat", theory="incnat", pred="x > 5; ~(x > 3)"),
+        record(op="equiv", theory="incnat", left="x > 1", right="x > 2"),
+        record(op="norm", theory="bitvec", term="(flip a)*; a = T"),
+        record(op="equiv", theory="incnat", left="inc(x); x > 1", right="x > 0; inc(x)"),
+        record(op="sat", theory="quantum", pred="x > 1"),
+    ]
+
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_jobs_setting_does_not_change_results(self, jobs):
-        lines = [
-            record(op="equiv", theory="incnat", left="inc(x); x > 1", right="x > 0; inc(x)"),
-            record(op="equiv", theory="bitvec", left="a := T; a = T", right="a := T"),
-            record(op="sat", theory="incnat", pred="x > 5; ~(x > 3)"),
-        ]
-        responses, _ = run_batch_lines(lines, jobs=jobs)
+        responses, _ = run_batch_lines(self.JOBS_LINES, jobs=jobs)
         assert responses[0]["result"]["equivalent"] is True
         assert responses[1]["result"]["equivalent"] is True
         assert responses[2]["result"]["satisfiable"] is False
+        # Byte-identical to the single-worker answer, order included.
+        reference, _ = run_batch_lines(self.JOBS_LINES, jobs=1)
+        assert responses == reference
 
 
 class TestControlOps:
     def test_stats_op(self):
-        runner = BatchRunner()
-        runner.run_lines([record(op="sat", pred="x > 1")])
-        responses = runner.run_lines([record(op="stats")])
+        pool = ShardedSessionPool(stripes=1)
+        run_batch_lines([record(op="sat", pred="x > 1")], pool=pool)
+        responses, _ = run_batch_lines([record(op="stats")], pool=pool)
         assert responses[0]["ok"]
         assert "incnat" in responses[0]["result"]
+        assert "server" in responses[0]["result"]
+
+    def test_trailing_stats_and_metrics_count_every_earlier_query(self):
+        queries = [record(op="sat", pred=f"x > {i}") for i in range(12)]
+        queries += [record(op="sat", theory="bitvec", pred="a = T"),
+                    record(op="sat", pred="x > !!!")]
+        responses, _ = run_batch_lines(
+            queries + [record(op="stats"), record(op="metrics")], jobs=4)
+        stats, metrics = responses[-2]["result"], responses[-1]["result"]
+        assert stats["server"]["requests"]["completed"] == len(queries)
+        assert stats["server"]["requests"]["errors"] == {"parse_error": 1}
+        assert stats["incnat"]["queries"] == 13
+        served = sum(entry["value"] for entry in metrics["counters"]["requests_total"])
+        assert served == len(queries)
+
+    def test_control_answers_at_its_input_position(self):
+        lines = [record(op="sat", pred=f"x > {i}") for i in range(6)]
+        lines.insert(3, record(op="stats", id="mid"))
+        responses, _ = run_batch_lines(lines, jobs=4)
+        assert [r["id"] for r in responses] == [0, 1, 2, "mid", 4, 5, 6]
+        assert responses[3]["result"]["server"]["requests"]["completed"] == 3
+
+    def test_quit_answers_unknown_op_and_the_batch_continues(self):
+        responses, _ = run_batch_lines([
+            record(op="quit", id="q"),
+            record(op="quit"),
+            record(op="sat", pred="x > 1"),
+        ])
+        assert [r["id"] for r in responses] == ["q", 1, 2]
+        assert [r["error_code"] for r in responses[:2]] == ["unknown_op"] * 2
+        assert "only valid in serve mode" in responses[0]["error"]
+        assert responses[2]["result"]["satisfiable"] is True
+
+    def test_deadline_is_honored(self):
+        responses, _ = run_batch_lines([
+            record(op="sat", pred="x > 1", deadline_ms=60_000),
+            record(op="sat", pred="x > 1", deadline_ms=-5),
+        ])
+        assert responses[0]["ok"] is True
+        assert responses[1]["error_code"] == "invalid_request"
 
     def test_ping_op(self):
         responses, _ = run_batch_lines([record(op="ping")])
@@ -330,8 +376,8 @@ class TestSignatureFieldsInProtocol:
     def test_explicit_pool_conflicting_cell_search_rejected(self):
         pool = ShardedSessionPool(stripes=1)
         with pytest.raises(TypeError):
-            BatchRunner(pool=pool, cell_search="enumerate")
-        assert BatchRunner(pool=pool).pool is pool
+            run_batch_lines([], pool=pool, cell_search="enumerate")
+        assert run_batch_lines([], pool=pool)[1] is pool
 
 
 class TestSetAndMapPresets:

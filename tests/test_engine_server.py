@@ -493,7 +493,7 @@ class TestServeCountingRegression:
         assert replies[1]["result"]["pong"] is True
 
     def test_cached_flag_in_batch_responses(self):
-        from repro.engine.batch import run_batch_lines
+        from repro.engine.server import run_batch_lines
 
         line = _equiv(1)
         responses, _ = run_batch_lines([line, line])
@@ -505,7 +505,7 @@ class TestStreamedBatchInput:
     """``kmt batch -`` must stream stdin line by line, not ``readlines()``."""
 
     def test_run_lines_accepts_a_pure_iterator(self):
-        from repro.engine.batch import run_batch_lines
+        from repro.engine.server import run_batch_lines
 
         lines = iter([record(op="sat", pred="x > 1"), record(op="sat", pred="x > 2")])
         responses, _ = run_batch_lines(lines)

@@ -41,8 +41,7 @@ from repro.core.oracle import (
     language_includes,
 )
 from repro.core.regexes import accepts_word
-from repro.engine.batch import BatchRunner
-from repro.engine.server import ShardedSessionPool, merge_pool_stats
+from repro.engine.server import ShardedSessionPool, merge_pool_stats, run_batch_lines
 from repro.engine.session import EngineSession
 from repro.theories.bitvec import BitVecTheory, BoolAssign
 from repro.theories.incnat import AssignNat, IncNatTheory, Incr
@@ -419,8 +418,8 @@ class TestWalkKernelPlumbing:
     def test_batch_runner_pool_conflict(self):
         pool = ShardedSessionPool(stripes=1)
         with pytest.raises(TypeError):
-            BatchRunner(pool=pool, walk_kernel="flat")
-        assert BatchRunner(pool=pool).pool is pool
+            run_batch_lines([], pool=pool, walk_kernel="flat")
+        assert run_batch_lines([], pool=pool)[1] is pool
 
     def test_session_pool_builds_matching_sessions(self):
         pool = ShardedSessionPool(stripes=1, budget=1234)
@@ -428,7 +427,7 @@ class TestWalkKernelPlumbing:
         assert session is pool.session("incnat", 0)
         assert session.budget == 1234
         assert session.kmt.checker.caches is session.caches
-        assert BatchRunner().pool.stripes == 1
+        assert run_batch_lines([])[1].stripes == 1
 
     def test_cli_walk_kernel_flag(self, capsys):
         for argv in (

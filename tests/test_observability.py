@@ -1,11 +1,11 @@
 """End-to-end observability tests: tracing, metrics and logs through the stack.
 
-Exercises the ``"trace": true`` phase breakdown through the batch runner, the
-ordered single-worker serve loop, and the concurrent server under *both*
+Exercises the ``"trace": true`` phase breakdown through the batch front end,
+the ordered single-worker serve loop, and the concurrent server under *both*
 execution backends
 (the process backend round-trips the trace over the worker pipe); the
 ``metrics`` protocol op; the extended ``stats`` block (uptime, per-op counts,
-queue/exec latency split); the slow-query log; the Prometheus scrape endpoint
+queue/exec latency split); the slow-query and internal-error logs; the Prometheus scrape endpoint
 fed by a live server; and the new CLI flags.
 """
 
@@ -18,8 +18,8 @@ import urllib.request
 import pytest
 
 from repro.cli import main
-from repro.engine.batch import BatchRunner, run_query
-from repro.engine.server import QueryServer, serve_stdio
+from repro.engine.batch import run_query
+from repro.engine.server import QueryServer, ResponseSink, run_batch_lines, serve_stdio
 from repro.engine.session import EngineSession
 from repro.engine.telemetry import MetricsExporter, configure_logging
 from repro.theories import build_theory
@@ -58,7 +58,7 @@ def quiet_logging():
 
 
 # ---------------------------------------------------------------------------
-# run_query / batch runner
+# run_query / batch front end
 # ---------------------------------------------------------------------------
 
 
@@ -93,24 +93,40 @@ class TestRunQuery:
         assert "signatures" not in warm["phases"]
 
     def test_force_trace_without_flag(self):
-        session = EngineSession(build_theory("incnat"))
-        _, trace = run_query(session, {"op": "sat", "pred": "x > 0"}, force_trace=True)
-        assert trace is not None
+        """The slow-query log forces a trace by setting the record's flag;
+        the client response still carries none (the scheduler strips it)."""
+        stdout = io.StringIO()
+        server = QueryServer(workers=1, default_theory="incnat", slow_query_ms=60_000.0)
+        forced = []
+        execute = server.backend.execute
+
+        def spy(worker_index, request):
+            forced.append(request.record.get("trace"))
+            return execute(worker_index, request)
+
+        server.backend.execute = spy
+        serve_stdio(io.StringIO(record(op="sat", pred="x > 0") + "\n"), stdout,
+                    server=server)
+        server.shutdown()
+        assert forced == [True]
+        (response,) = _responses(stdout)
+        assert response["ok"] is True and "trace" not in response
 
     def test_trace_deactivated_after_error(self):
         from repro.engine.telemetry import current_trace
 
         session = EngineSession(build_theory("incnat"))
         with pytest.raises(Exception):
-            run_query(session, {"op": "sat", "pred": "this ( is not + syntax"},
-                      force_trace=True)
+            run_query(session, {"op": "sat", "pred": "this ( is not + syntax",
+                                "trace": True})
         assert current_trace() is None
 
 
 class TestBatchRunnerObservability:
+    """``run_batch_lines``: the batch front end on the query server."""
+
     def test_trace_block_in_response(self):
-        runner = BatchRunner(default_theory="incnat")
-        (response,) = runner.run_lines([
+        ((response,), _) = run_batch_lines([
             record(op="equiv", left="inc(x); x > 1", right="x > 0; inc(x)",
                    trace=True, id="q"),
         ])
@@ -120,13 +136,11 @@ class TestBatchRunnerObservability:
         _assert_trace_consistent(trace)
 
     def test_untraced_response_has_no_trace_key(self):
-        runner = BatchRunner(default_theory="incnat")
-        (response,) = runner.run_lines([record(op="sat", pred="x > 0")])
+        ((response,), _) = run_batch_lines([record(op="sat", pred="x > 0")])
         assert "trace" not in response
 
     def test_metrics_op(self):
-        runner = BatchRunner(default_theory="incnat")
-        responses = runner.run_lines([
+        responses, _ = run_batch_lines([
             record(op="sat", pred="x > 0", id="a"),
             record(op="metrics", id="m"),
         ])
@@ -139,8 +153,7 @@ class TestBatchRunnerObservability:
         assert hist["count"] == 1
 
     def test_error_outcome_labelled(self):
-        runner = BatchRunner(default_theory="incnat")
-        responses = runner.run_lines([
+        responses, _ = run_batch_lines([
             record(op="sat", pred="x > 0 ) (", id="bad"),
             record(op="metrics", id="m"),
         ])
@@ -153,10 +166,9 @@ class TestBatchRunnerObservability:
     def test_slow_query_log(self, tmp_path, quiet_logging):
         path = tmp_path / "slow.jsonl"
         configure_logging(level="info", log_file=str(path))
-        runner = BatchRunner(default_theory="incnat", slow_query_ms=0.0)
-        (response,) = runner.run_lines([
+        ((response,), _) = run_batch_lines([
             record(op="equiv", left="inc(x); x > 1", right="x > 0; inc(x)", id="q"),
-        ])
+        ], slow_query_ms=0.0)
         # The client did not ask for a trace, so the response carries none...
         assert "trace" not in response
         events = [json.loads(line) for line in path.read_text().splitlines()]
@@ -171,8 +183,7 @@ class TestBatchRunnerObservability:
     def test_fast_queries_not_logged(self, tmp_path, quiet_logging):
         path = tmp_path / "slow.jsonl"
         configure_logging(level="info", log_file=str(path))
-        runner = BatchRunner(default_theory="incnat", slow_query_ms=60_000.0)
-        runner.run_lines([record(op="sat", pred="x > 0")])
+        run_batch_lines([record(op="sat", pred="x > 0")], slow_query_ms=60_000.0)
         events = [json.loads(line) for line in path.read_text().splitlines()
                   if path.exists()] if path.exists() else []
         assert not [e for e in events if e["event"] == "slow_query"]
@@ -306,6 +317,45 @@ class TestServerObservability:
         assert "normalize" in slow[0]["phases"]
         assert slow[0]["queue_ms"] >= 0.0
         assert slow[0]["total_ms"] >= slow[0]["exec_ms"] - 0.001
+
+    def test_internal_error_is_logged(self, backend, tmp_path, quiet_logging):
+        path = tmp_path / "errors.jsonl"
+        configure_logging(level="error", log_file=str(path))
+        deep = "(" * 3000 + "inc(x)" + ")" * 3000
+        stdout = io.StringIO()
+        serve_stdio(io.StringIO(record(op="equiv", id="a", left=deep, right="inc(x)") + "\n"),
+                    stdout, workers=1, backend=backend)
+        (response,) = _responses(stdout)
+        assert response["error_code"] == "internal_error"
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        errors = [e for e in events if e["event"] == "internal_error"]
+        assert len(errors) == 1
+        assert errors[0]["request_id"] == "a"
+        assert errors[0]["op"] == "equiv"
+        assert errors[0]["theory"] == "incnat"
+        assert "RecursionError" in errors[0]["error"]
+
+
+class TestCountedBeforeWritten:
+    """A response is written only after the request is in ``stats`` and
+    ``metrics``: a client that reads its answer and then asks must find it."""
+
+    def test_write_sees_the_request_counted(self):
+        server = QueryServer(workers=1, default_theory="incnat")
+        seen = []
+
+        def write(line):
+            requests = server.server_stats()["requests"]
+            counters = server.metrics_snapshot()["counters"]["requests_total"]
+            seen.append((requests["completed"], requests["by_op"],
+                         sum(entry["value"] for entry in counters)))
+
+        sink = ResponseSink(write)
+        with server:
+            server.submit_line(record(op="sat", pred="x > 0"), sink)
+            server.submit_line(record(op="sat", pred="x > !!!"), sink)
+            server.wait_idle(timeout=60)
+        assert seen == [(1, {"sat": 1}, 1), (2, {"sat": 2}, 2)]
 
 
 class TestServerMetricsSnapshot:
