@@ -199,19 +199,22 @@ class KMT:
             return p
         raise TypeError(f"expected a Term, Pred or source string, got {p!r}")
 
-    def _coerce_word(self, word):
+    def _coerce_word(self, word, parse=None):
         """Normalize a word argument into a tuple of theory primitive actions.
 
-        See :meth:`member` for the accepted element forms.  Raises
-        ``KmtError`` when an element is not (a sequence of) primitive
-        actions — tests, sums and stars have no place in a word.
+        See :meth:`member` for the accepted element forms; string elements go
+        through ``parse`` (default :meth:`parse`).  Raises ``KmtError`` when
+        an element is not (a sequence of) primitive actions — tests, sums and
+        stars have no place in a word.
         """
         if isinstance(word, str):
             word = [word]
+        if parse is None:
+            parse = self.parse
         pis = []
         for element in word:
             if isinstance(element, str):
-                element = self.parse(element)
+                element = parse(element)
             if isinstance(element, terms.Term):
                 self._flatten_word_term(element, pis)
             else:

@@ -20,6 +20,9 @@ from repro.engine.intern import fingerprint, fingerprint_normal_form
 
 _MISS = object()
 
+#: Entries in a bundle's ``source`` table (request text → parsed node).
+SOURCE_TABLE_SIZE = 4096
+
 #: Cap on the key→object reverse maps a bundle keeps for snapshot export
 #: (fingerprints are process-local counters, so exporting a table means
 #: recovering the term/normal form behind each key).  Overflow drops the
@@ -249,6 +252,7 @@ class EngineCaches:
     ``sig``           pair of restricted-action fingerprints → ``(bool, word)``
     ``aut``           restricted-action fingerprint → ``CompiledAutomaton``
     ``prog``          While-program source text → ``(WhileProgram, Term)``
+    ``source``        ``(kind, text)`` → parsed ``Term`` (``"t"``) / ``Pred`` (``"p"``)
     ``deriv``         ``(action, pi)`` → derivative (shared, process-wide)
     ================  =====================================================
     """
@@ -271,6 +275,7 @@ class EngineCaches:
         self.sig = LRUCache(sig_size, name="sig")
         self.aut = LRUCache(aut_size, name="aut")
         self.prog = LRUCache(prog_size, name="prog")
+        self.source = LRUCache(SOURCE_TABLE_SIZE, name="source")
         self.deriv = DERIVATIVE_CACHE if deriv is None else deriv
         # The per-session arena pool: compile_automaton adopts every automaton
         # it builds for this bundle, so ``aut_bytes`` reports the flat-table
@@ -331,12 +336,12 @@ class EngineCaches:
     # -- accounting ---------------------------------------------------------
     def all_caches(self):
         return (self.norm, self.sat_conj, self.sat_pred, self.equiv, self.sig,
-                self.aut, self.prog, self.deriv)
+                self.aut, self.prog, self.source, self.deriv)
 
     def private_caches(self):
         """The tables owned by this bundle (excludes a shared derivative memo)."""
         out = [self.norm, self.sat_conj, self.sat_pred, self.equiv, self.sig,
-               self.aut, self.prog]
+               self.aut, self.prog, self.source]
         if self.deriv is not DERIVATIVE_CACHE:
             out.append(self.deriv)
         return tuple(out)
@@ -388,10 +393,12 @@ class EngineCaches:
         Exports the ``norm`` / ``aut`` / ``sig`` / ``equiv`` / ``prog``
         tables — the expensive, replayable state.  The satisfiability memos
         are skipped (cheap to refill, and their keys carry raw theory
-        objects).  Entries whose keys can no longer be mapped back to terms
-        (reverse-map overflow) or that fail to encode (a custom theory whose
-        primitives do not round-trip) are silently omitted: a snapshot is a
-        warmth transfer, not a backup, so completeness is best-effort.
+        objects), and so is ``source`` (the first repeat of a text after a
+        restart re-fills it with one parse).  Entries whose keys can no
+        longer be mapped back to terms (reverse-map overflow) or that fail to
+        encode (a custom theory whose primitives do not round-trip) are
+        silently omitted: a snapshot is a warmth transfer, not a backup, so
+        completeness is best-effort.
 
         Entries are emitted in canonical (term sort-key) order, not cache
         iteration order: the codec's node pool numbers subterms in encounter

@@ -242,13 +242,16 @@ class SnapshotCodec:
         self._nodes = nodes
         return len(nodes)
 
+    # Leaves go through the uncached ``session.kmt`` parser: staging must not
+    # write into the session's ``source`` table, or a snapshot rejected after
+    # staging would still have touched a cache.
     def _parse_leaf_term(self, src, memo):
         if not isinstance(src, str):
             _invalid(f"snapshot primitive action source must be a string, got {src!r}")
         node = memo.get(src)
         if node is None:
             try:
-                node = self.session.parse(src)
+                node = self.session.kmt.parse(src)
             except KmtError as error:
                 _invalid(f"snapshot primitive action {src!r} failed to re-parse: {error}")
             if not isinstance(node, T.TPrim):
@@ -262,7 +265,7 @@ class SnapshotCodec:
         node = memo.get(src)
         if node is None:
             try:
-                node = self.session.parse_pred(src)
+                node = self.session.kmt.parse_pred(src)
             except KmtError as error:
                 _invalid(f"snapshot primitive test {src!r} failed to re-parse: {error}")
             if not isinstance(node, T.PPrim):

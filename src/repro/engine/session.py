@@ -11,7 +11,9 @@ the same facade but keeps everything warm between queries:
   installed into :mod:`repro.core.automata` (shared derivative memo);
 * a fingerprint-keyed normal-form cache in front of normalization itself, so
   repeated and overlapping queries — ``partition``, Hoare-triple chains, the
-  batch front end — never re-normalize the same term twice.
+  batch front end — never re-normalize the same term twice;
+* a source-text table in front of the parser, so a repeated request reaches
+  its first memo without re-parsing any of its text fields.
 
 Sessions are *not* thread-safe; callers take :attr:`EngineSession.lock`
 for exclusive access.  :class:`ShardedSessionPool` keeps the sessions of a
@@ -61,15 +63,36 @@ class EngineSession:
         return f"EngineSession({self.theory.describe()}, queries={self.queries})"
 
     # ------------------------------------------------------------------
-    # parsing passthrough
+    # parsing, memoized by source text
     # ------------------------------------------------------------------
+    # Every text field of a request reaches the parser through these two
+    # methods, so a repeated request looks its terms up in the ``source``
+    # table instead of re-parsing.  Parse errors raise before the ``put`` and
+    # are never stored.  Plain get/put: the session lock serializes callers,
+    # and a duplicate parse would return the same hash-consed node anyway.
     def parse(self, text):
-        return self.kmt.parse(text)
+        return self._parse_cached("t", text, self.kmt.parse)
 
     def parse_pred(self, text):
-        return self.kmt.parse_pred(text)
+        return self._parse_cached("p", text, self.kmt.parse_pred)
+
+    def _parse_cached(self, kind, text, parse):
+        key = (kind, text)
+        node = self.caches.source.get(key, _MISS)
+        if node is not _MISS:
+            return node
+        trace = current_trace()
+        if trace is None:
+            node = parse(text)
+        else:
+            with trace.span("parse"):
+                node = parse(text)
+        self.caches.source.put(key, node)
+        return node
 
     def _coerce_term(self, p):
+        if isinstance(p, str):
+            return self.parse(p)
         return self.kmt._coerce_term(p)
 
     def _coerce_pred(self, pred):
@@ -166,7 +189,7 @@ class EngineSession:
         on the cached compiled automata of the term's normal form.
         """
         self.queries += 1
-        pis = self.kmt._coerce_word(word)
+        pis = self.kmt._coerce_word(word, parse=self.parse)
         nf = self._normalize_cached(term, cancel=cancel)
         return self.kmt.checker.member_nf(nf, pis, cancel=cancel)
 
@@ -178,7 +201,7 @@ class EngineSession:
         kernel call (:meth:`EquivalenceChecker.member_nf_many`).
         """
         self.queries += 1
-        pis = [self.kmt._coerce_word(word) for word in words]
+        pis = [self.kmt._coerce_word(word, parse=self.parse) for word in words]
         nf = self._normalize_cached(term, cancel=cancel)
         return self.kmt.checker.member_nf_many(nf, pis, cancel=cancel)
 
