@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the optimizations of the paper's Section 4.1.
 
 Three ablations, each comparing the shipped configuration against a degraded
 one on the same workload:

@@ -5,7 +5,7 @@ builds (naturals, sets, maps).  These benchmarks measure the full pipeline on
 each program — parse the While source, compile to a KMT term, and prove the
 trailing assert redundant — with the loop constants scaled down so a single
 verification stays in the seconds range (the paper never reports numbers for
-Fig. 1; EXPERIMENTS.md records what we measure).
+Fig. 1).
 """
 
 import pytest

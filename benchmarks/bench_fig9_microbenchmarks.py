@@ -2,8 +2,8 @@
 
 Each benchmark measures the end-to-end cost of the same equivalence query the
 paper reports (parse + normalize + decide).  Absolute times will differ from
-the paper's OCaml numbers; EXPERIMENTS.md records both so the *shape* (which
-queries are instant, which one blows up) can be compared.
+the paper's OCaml numbers; compare the *shape* instead (which queries are
+instant, which one blows up).
 """
 
 import pytest

@@ -1,9 +1,9 @@
 """Shared builders for the benchmark harness.
 
 Every benchmark constructs its KMT instances through the helpers here so the
-terms being measured are exactly the ones listed in DESIGN.md's experiment
-index (and so the ablation benchmarks can rebuild the same workloads with
-different configurations).
+terms being measured are exactly the ones the paper's evaluation uses (Fig. 9's
+rows, the Section 5 scaling family) and so the ablation benchmarks can rebuild
+the same workloads with different configurations.
 """
 
 from __future__ import annotations

@@ -618,9 +618,9 @@ def make_arg_parser():
     serve.add_argument(
         "--theory-factory", metavar="MODULE:ATTR", default=None,
         help=(
-            "theory-factory spec resolved inside each worker (testing and "
-            "benchmark hook — e.g. repro.engine.testing:oracle_latency_factory "
-            "reads KMT_TEST_ORACLE_* from the environment)"
+            "theory-factory spec resolved inside each worker (test hook — "
+            "e.g. repro.engine.testing:oracle_latency_factory reads "
+            "KMT_TEST_ORACLE_* from the environment)"
         ),
     )
     serve.add_argument(

@@ -68,8 +68,9 @@ supplies the serving concerns:
   cooperatively there, per-worker cache stats are merged into the ``stats``
   response, and a supervisor detects a crashed worker, respawns it, and
   answers the in-flight request with a structured ``worker_crashed`` error —
-  no id is ever lost or duplicated.  ``benchmarks/bench_serve.py`` reports
-  both backends in both latency regimes honestly.
+  no id is ever lost or duplicated.  ``tests/test_server_backends.py``
+  gates both backends' speedups (thread workers under simulated solver
+  latency, processes over threads on CPU-bound work).
 """
 
 from __future__ import annotations
@@ -109,7 +110,6 @@ from repro.engine.session import ShardedSessionPool, merge_pool_stats
 from repro.engine.telemetry import (
     MetricsRegistry,
     configure_logging,
-    empty_snapshot,
     log_event,
     logging_target,
     merge_metrics,
@@ -265,10 +265,6 @@ class ThreadExecutionBackend:
         # everything is already in the server-side registry.
         return None
 
-    def refresh_stats(self, timeout=None):
-        # In-process stats are always exact; nothing to pull.
-        return 0
-
     def export_snapshot(self):
         return self.pool.export_snapshot()
 
@@ -283,20 +279,6 @@ class ThreadExecutionBackend:
 #: snapshot from the worker process; between snapshots the supervisor serves
 #: the last one it saw.
 _STATS_SNAPSHOT_PERIOD = 16
-
-
-def _full_metrics(metrics):
-    """A worker's metrics snapshot merged with its process-global counters.
-
-    Instrumentation that cannot see the worker's registry — e.g. the test
-    oracle wrapper counting out-of-process solver calls
-    (:mod:`repro.engine.testing`) — records into the process-global registry
-    (:func:`repro.engine.telemetry.process_metrics`); merging the two here
-    makes those counters ride the same stats pipe to the supervisor.
-    """
-    from repro.engine.telemetry import process_metrics
-
-    return merge_metrics([metrics.snapshot(), process_metrics().snapshot()])
 
 
 def _process_worker_main(conn, config):
@@ -362,14 +344,6 @@ def _process_worker_main(conn, config):
             else:
                 conn.send(("snapshot_ok", seq, payload))
             continue
-        # On-demand stats (same shape as the piggybacked snapshot): lets the
-        # supervisor collect *exact* post-drain numbers — e.g. total oracle
-        # calls for a benchmark — instead of the bounded-staleness piggyback.
-        if tag == "stats_pull":
-            seq = message[1]
-            conn.send(("stats", seq,
-                       {"pool": pool.stats(), "metrics": _full_metrics(metrics)}))
-            continue
         _, seq, record, fallback_id, remaining_ms, deadline_ms = message
         exec_started = time.monotonic()
         try:
@@ -410,7 +384,7 @@ def _process_worker_main(conn, config):
         # extra IPC — and the parent keeps the latest per worker.  The worker
         # metrics registry rides along on the same cadence and is merged in
         # the parent by ``merge_metrics``, like ``merge_pool_stats``.
-        snapshot = {"pool": pool.stats(), "metrics": _full_metrics(metrics)} \
+        snapshot = {"pool": pool.stats(), "metrics": metrics.snapshot()} \
             if served <= 4 or served % _STATS_SNAPSHOT_PERIOD == 0 else None
         conn.send(("done", seq, response, snapshot))
 
@@ -603,7 +577,7 @@ class ProcessExecutionBackend:
         """Block until every worker process answers a ping (imports done).
 
         Useful to keep interpreter spawn/import cost out of latency-sensitive
-        paths (benchmarks warm up explicitly; serving just absorbs it).
+        paths (timed callers warm up explicitly; serving just absorbs it).
         ``False`` when the timeout elapses (including a worker that spawned
         but wedged without answering) or a worker crashed at spawn.
         """
@@ -709,31 +683,6 @@ class ProcessExecutionBackend:
         if not snapshots:
             return None
         return merge_metrics(snapshots)
-
-    def refresh_stats(self, timeout=30.0):
-        """Pull a fresh stats snapshot from every reachable worker *now*.
-
-        The piggybacked snapshots trail the hot path by up to
-        :data:`_STATS_SNAPSHOT_PERIOD` responses; call this after a drain when
-        exact totals matter (``bench_serve.py`` uses it so the process
-        backend's oracle-call count is comparable with the in-process modes).
-        Busy or crashed workers keep their last piggybacked snapshot.
-        Returns the number of workers that answered.
-        """
-        refreshed = 0
-        for handle in self._handles:
-            try:
-                reply = handle.call("stats_pull", timeout=timeout)
-            except WorkerCrashed:
-                continue  # the next exec on this shard respawns it
-            if reply is None or reply[0] != "stats":
-                continue
-            snapshot = reply[2]
-            with self._stats_lock:
-                self._last_pool_stats[handle.index] = snapshot["pool"]
-                self._last_metrics[handle.index] = snapshot["metrics"]
-            refreshed += 1
-        return refreshed
 
     def import_snapshot(self, payload):
         """Broadcast a snapshot payload to every worker (and remember it).
@@ -926,7 +875,7 @@ class QueryServer:
 
     def __init__(self, workers=4, stripes=None, queue_limit=128, default_theory=DEFAULT_THEORY,
                  budget=DEFAULT_BUDGET, theory_factory=None, pool=None, backend="thread",
-                 theory_factory_spec=None, slow_query_ms=None, enable_metrics=True):
+                 theory_factory_spec=None, slow_query_ms=None):
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         if queue_limit < 1:
@@ -973,9 +922,7 @@ class QueryServer:
         if slow_query_ms is not None and slow_query_ms < 0:
             raise ValueError(f"slow_query_ms must be non-negative, got {slow_query_ms}")
         self.slow_query_ms = slow_query_ms
-        # ``enable_metrics=False`` removes even the (cheap) registry updates
-        # from the completion path — the telemetry benchmark's baseline mode.
-        self.metrics = MetricsRegistry() if enable_metrics else None
+        self.metrics = MetricsRegistry()
         self._queues = [Queue() for _ in range(workers)]
         self._threads = []
         self._capacity = threading.Semaphore(queue_limit)
@@ -1214,13 +1161,11 @@ class QueryServer:
                 self._exec_latencies.append(exec_s)
                 if code is not None:
                     self._error_counts[code] = self._error_counts.get(code, 0) + 1
-            if self.metrics is not None:
-                labels = (("theory", request.theory), ("op", op))
-                self.metrics.inc("requests_total",
-                                 labels + (("outcome", code or "ok"),))
-                self.metrics.observe("request_latency_ms", latency * 1000.0, labels)
-                self.metrics.observe("queue_latency_ms", queue_s * 1000.0, labels)
-                self.metrics.observe("exec_latency_ms", exec_s * 1000.0, labels)
+            labels = (("theory", request.theory), ("op", op))
+            self.metrics.inc("requests_total", labels + (("outcome", code or "ok"),))
+            self.metrics.observe("request_latency_ms", latency * 1000.0, labels)
+            self.metrics.observe("queue_latency_ms", queue_s * 1000.0, labels)
+            self.metrics.observe("exec_latency_ms", exec_s * 1000.0, labels)
             request.sink.emit(request.seq, response)
             self._capacity.release()
             with self._state:
@@ -1261,10 +1206,9 @@ class QueryServer:
 
     def _count_error_locked(self, code):
         self._error_counts[code] = self._error_counts.get(code, 0) + 1
-        if self.metrics is not None:
-            # A leaf lock under self._state — the registry never takes
-            # scheduler locks, so the ordering is safe.
-            self.metrics.inc("rejected_total", (("code", code),))
+        # A leaf lock under self._state — the registry never takes
+        # scheduler locks, so the ordering is safe.
+        self.metrics.inc("rejected_total", (("code", code),))
 
     @staticmethod
     def _percentile_block(samples_sorted):
@@ -1347,19 +1291,10 @@ class QueryServer:
         tables re-expressed as ``cache_*_total`` counters labeled by theory
         and table.
         """
-        snapshots = [self.metrics.snapshot() if self.metrics is not None
-                     else empty_snapshot()]
+        snapshots = [self.metrics.snapshot()]
         worker = self.backend.worker_metrics()
         if worker is not None:
             snapshots.append(worker)
-        # Ambient process-global counters (e.g. the test oracle wrapper's
-        # oracle_calls_total under the thread backend, where execution happens
-        # in this very process).  Under the process backend the same counters
-        # arrive via the workers' piggybacked snapshots instead; this
-        # process's registry is simply empty then — no double counting.
-        from repro.engine.telemetry import process_metrics
-
-        snapshots.append(process_metrics().snapshot())
         merged = merge_metrics(snapshots)
         with self._state:
             gauge_values = {

@@ -244,7 +244,6 @@ _HELP = {
     "in_flight": "Requests queued or executing.",
     "workers": "Scheduler worker count.",
     "stripes": "Session stripes per theory.",
-    "oracle_calls_total": "Out-of-process theory-oracle calls (test oracle wrapper).",
     "router_requests_total": "Requests forwarded by the cluster router, by backend/outcome.",
     "router_rejected_total": "Requests the router refused at admission (rate limit, queue full, shutdown).",
     "router_retries_total": "Requests re-dispatched to another replica after a backend failure.",
@@ -255,26 +254,6 @@ _HELP = {
     "router_backends_down": "Configured backends currently ejected.",
     "router_queue_depth": "Requests admitted by the router, not yet answered.",
 }
-
-
-# ---------------------------------------------------------------------------
-# Process-global registry
-# ---------------------------------------------------------------------------
-
-_PROCESS_METRICS = MetricsRegistry()
-
-
-def process_metrics():
-    """This process's ambient :class:`MetricsRegistry`.
-
-    For instrumentation points that have no handle on a server's registry —
-    e.g. a theory wrapper constructed deep inside a worker process counting
-    oracle calls.  The process backend merges this registry into each
-    worker's piggybacked stats snapshot, so counters recorded here surface in
-    the parent's ``metrics`` op like any other worker metric.  (Each worker
-    process gets its own instance: workers are spawned, not forked.)
-    """
-    return _PROCESS_METRICS
 
 
 def _escape_label(value):

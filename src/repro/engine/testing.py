@@ -1,12 +1,12 @@
-"""Spawn-importable theory factories for tests and benchmarks.
+"""Spawn-importable theory factories for tests.
 
 The process execution backend cannot ship an in-process callable to its
 worker processes; factory injection crosses the boundary as a
 ``theory_factory_spec`` string (``"module:attribute"``) that each worker
-resolves after spawning.  Test-suite and benchmark factories therefore live
-here — a real module on ``PYTHONPATH``, importable in any spawned child —
-and are configured through environment variables, which spawned workers
-inherit from the parent:
+resolves after spawning.  Test-suite factories therefore live here — a real
+module on ``PYTHONPATH``, importable in any spawned child — and are
+configured through environment variables, which spawned workers inherit from
+the parent:
 
 ``KMT_TEST_ORACLE_DELAY_MS``
     Per-call sleep (milliseconds) added to ``satisfiable_conjunction`` /
@@ -19,7 +19,8 @@ inherit from the parent:
 
 These knobs drive the crash-recovery and deadline tests (a long oracle sleep
 opens a deterministic window to kill a worker mid-query, or to expire a
-deadline) and the serve benchmark's simulated-solver mode.
+deadline) and the worker- and backend-scaling tests, which need queries that
+wait on a GIL-releasing solver call.
 """
 
 from __future__ import annotations
@@ -27,26 +28,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.engine.telemetry import process_metrics
 from repro.theories import build_theory
-
-
-class _ProcessMetricsCounter:
-    """Counter adapter bumping ``oracle_calls_total`` in the process-global
-    metrics registry.
-
-    Inside a spawned worker that registry's snapshot rides the stats pipe to
-    the supervisor (see ``_full_metrics`` in :mod:`repro.engine.server`), so
-    oracle-call counts from worker processes are visible to the parent — the
-    serve benchmark reads them off ``metrics_snapshot()`` to make the process
-    backend's accounting comparable with the in-process modes.
-    """
-
-    def __init__(self, theory_name):
-        self._labels = (("theory", theory_name),)
-
-    def bump(self):
-        process_metrics().inc("oracle_calls_total", self._labels)
 
 
 class OracleLatencyTheory:
@@ -54,21 +36,16 @@ class OracleLatencyTheory:
 
     Each ``satisfiable_conjunction`` / ``satisfiable`` call sleeps
     ``delay_s`` (releasing the GIL, exactly as real solver IPC would) before
-    delegating to the wrapped theory.  ``counter`` (optional, any object with
-    a ``bump()`` method) tallies oracle calls — the serve benchmark uses it
-    to report how much oracle work each in-process configuration performed.
+    delegating to the wrapped theory.
     """
 
-    def __init__(self, inner, delay_s, counter=None):
+    def __init__(self, inner, delay_s):
         self._inner = inner
         self._delay_s = delay_s
-        self._counter = counter
 
     def _pay(self):
         if self._delay_s > 0:
             time.sleep(self._delay_s)
-        if self._counter is not None:
-            self._counter.bump()
 
     def satisfiable_conjunction(self, literals):
         self._pay()
@@ -95,5 +72,4 @@ def oracle_latency_factory(theory_name):
     if only and theory_name.lower() not in {name.strip().lower()
                                             for name in only.split(",") if name.strip()}:
         return theory
-    return OracleLatencyTheory(theory, delay_ms / 1000.0,
-                               counter=_ProcessMetricsCounter(theory_name))
+    return OracleLatencyTheory(theory, delay_ms / 1000.0)

@@ -23,8 +23,8 @@ precondition::
     X[e1] := e2 ; X[c1] = c2   WP   e1 = c1 ; e2 = c2   +   ~(e1 = c1) ; X[c1] = c2
 
 which still satisfies the framework's ordering obligations (both summands are
-built from subterms of the original test).  ``DESIGN.md`` records this
-deviation.
+built from subterms of the original test).  This is a deliberate deviation
+from the axiom as the paper displays it.
 """
 
 from __future__ import annotations

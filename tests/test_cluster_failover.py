@@ -9,6 +9,7 @@ verdict — and a backend restarted with ``--snapshot`` rejoins the ring and
 answers its first repeat from the warm cache.
 """
 
+import contextlib
 import json
 import os
 import subprocess
@@ -21,7 +22,16 @@ import pytest
 from repro.engine.router import Router
 from repro.engine.server import ResponseSink, affinity_hash
 
-from test_server_backends import comparable_response, make_soak_workload, run_path_batch
+from test_server_backends import (
+    ORACLE_SPEC,
+    SCALING_ORACLE_MS,
+    available_cpus,
+    comparable_response,
+    make_oracle_workload,
+    make_soak_workload,
+    run_path_batch,
+    serve_timed,
+)
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -98,6 +108,44 @@ def _core(response):
 
 def _backend_state(router, key):
     return router.router_stats()["backends"][key]["state"]
+
+
+@pytest.mark.slow
+def test_two_backends_beat_one_under_solver_latency(monkeypatch):
+    """Each backend is its own process, so a second one adds both oracle-wait
+    overlap and a core; the router must turn that into throughput."""
+    cpus = available_cpus()
+    if cpus < 2:
+        pytest.skip("1 CPU available: a 2-process parallel speedup is impossible")
+    monkeypatch.setenv("KMT_TEST_ORACLE_DELAY_MS", str(SCALING_ORACLE_MS))
+    monkeypatch.setenv("KMT_TEST_ORACLE_THEORIES", "")  # every theory
+    best = {}
+    with contextlib.ExitStack() as stack:
+        backends = []
+        for _ in range(3):
+            backends.append(BackendProc("--theory-factory", ORACLE_SPEC, workers=4))
+            stack.callback(backends[-1].stop)
+        clusters = {}
+        for size, members in ((1, backends[:1]), (2, backends[1:])):
+            router = Router([("127.0.0.1", backend.port) for backend in members],
+                            probe_interval=0.3)
+            router.start()
+            stack.callback(router.shutdown, drain=False)
+            assert router.wait_all_up(timeout=60.0)
+            clusters[size] = router
+        # Best of two, interleaved; each repeat's workload is new to every
+        # backend, and the two clusters share none.
+        for repeat in range(2):
+            lines = make_oracle_workload(offset=100 * repeat)
+            answers = {}
+            for size, router in clusters.items():
+                elapsed, responses = serve_timed(router, lines)
+                answers[size] = {key: _core(response) for key, response in responses.items()}
+                best[size] = min(best.get(size, elapsed), elapsed)
+            assert answers[2] == answers[1]
+    speedup = best[1] / best[2]
+    print(f"cluster_2 over cluster_1 on {cpus} CPUs: {speedup:.2f}x")
+    assert speedup >= 1.0, f"2 backends slower than 1 ({speedup:.2f}x)"
 
 
 class TestClusterFailoverSoak:

@@ -1,9 +1,14 @@
 """Tests for EngineSession: cached normalization, decisions, cross-theory reuse."""
 
+import time
+
 import pytest
 
+from repro.core import automata
 from repro.core import terms as T
+from repro.core.kmt import KMT
 from repro.engine.session import EngineSession
+from repro.theories import build_theory
 from repro.theories.bitvec import BitVecTheory
 from repro.theories.incnat import IncNatTheory
 from repro.theories.netkat import NetKatTheory
@@ -142,3 +147,74 @@ class TestPredAndTermInputs:
         pred = T.pprim(Gt("x", 1))
         assert not session.is_empty(pred)
         assert session.satisfiable(pred)
+
+
+#: Per theory, a pool of five equivalence queries cycled ``CYCLES`` times:
+#: the repeated/overlapping shape a served workload has.
+REPEATED_WORKLOAD = {
+    "incnat": [
+        ("inc(x); x > 1", "x > 0; inc(x)"),
+        ("inc(x)*; x > 4", "inc(x)*; inc(x)*; x > 4"),
+        ("x > 2; inc(x)", "x > 2; x > 1; inc(x)"),
+        ("inc(x); inc(x); x > 2", "x > 0; inc(x); inc(x)"),
+        ("x > 1", "x > 2"),
+    ],
+    "bitvec": [
+        ("a := T; a = T", "a := T"),
+        ("flip a; flip a; a = T", "a = T; flip a; flip a"),
+        ("(a := T)*; a = T", "(a := T)*; a := T; a = T + a = T"),
+        ("a := F; a = T", "a := F; a = T; a = T"),
+        ("a = T + ~(a = T)", "1"),
+    ],
+    "netkat": [
+        ("sw <- 1; sw = 1", "sw <- 1"),
+        ("sw = 1; sw <- 2", "sw = 1; sw <- 2; sw = 2"),
+        ("sw <- 1 + sw <- 2", "sw <- 2 + sw <- 1"),
+        ("sw = 1; sw = 2", "drop"),
+        ("(sw <- 1)*; sw = 1", "(sw <- 1)*; sw <- 1"),
+    ],
+}
+CYCLES = 20
+
+
+class TestWarmSessionAmortizes:
+    @pytest.mark.parametrize("theory_name", sorted(REPEATED_WORKLOAD))
+    def test_later_cycles_add_no_misses(self, theory_name):
+        session = EngineSession(build_theory(theory_name))
+        pairs = REPEATED_WORKLOAD[theory_name]
+
+        def misses():
+            tables = session.stats()["tables"]
+            return {name: tables[name]["misses"] for name in ("norm", "aut", "equiv")}
+
+        first = [session.equivalent(left, right) for left, right in pairs]
+        after_first = misses()
+        for _ in range(CYCLES - 1):
+            assert [session.equivalent(left, right) for left, right in pairs] == first
+        assert misses() == after_first
+
+    @pytest.mark.slow
+    def test_warm_session_beats_cold_one_shot(self):
+        """A fresh KMT per query (no shared derivative memo) against one warm
+        session on the same stream: the best theory must win by 3x."""
+        speedups = {}
+        for theory_name, pairs in REPEATED_WORKLOAD.items():
+            stream = pairs * CYCLES
+            saved = automata.get_derivative_cache()
+            automata.set_derivative_cache(None)
+            try:
+                started = time.perf_counter()
+                cold = [KMT(build_theory(theory_name)).equivalent(left, right)
+                        for left, right in stream]
+                cold_s = time.perf_counter() - started
+            finally:
+                automata.set_derivative_cache(saved)
+            session = EngineSession(build_theory(theory_name))
+            started = time.perf_counter()
+            warm = [session.equivalent(left, right) for left, right in stream]
+            warm_s = time.perf_counter() - started
+            assert warm == cold
+            speedups[theory_name] = cold_s / warm_s
+        print("warm over cold: " + ", ".join(
+            f"{name} {speedup:.1f}x" for name, speedup in sorted(speedups.items())))
+        assert max(speedups.values()) >= 3.0, speedups

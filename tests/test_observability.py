@@ -371,6 +371,8 @@ class TestServerMetricsSnapshot:
             tables = {e["labels"]["table"] for e in misses
                       if e["labels"]["theory"] == "incnat"}
             assert "norm" in tables
+            # Gauges are sampled at snapshot time, next to the counters.
+            assert snapshot["gauges"]["workers"] == [{"labels": {}, "value": 1}]
         finally:
             server.shutdown()
 
@@ -385,17 +387,54 @@ class TestServerMetricsSnapshot:
         finally:
             server.shutdown()
 
-    def test_disabled_registry(self):
-        server = QueryServer(workers=1, backend="thread", default_theory="incnat",
-                             enable_metrics=False)
+    def test_untraced_request_costs_one_inc_and_three_observes(self, monkeypatch):
+        """The always-on telemetry's whole per-request price, counted: an
+        untraced request builds no trace, logs nothing at the default level,
+        and touches the registry exactly four times."""
+        from repro.utils.trace import Trace
+
+        traces = []
+        init = Trace.__init__
+
+        def counting_init(self, *args, **kwargs):
+            traces.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Trace, "__init__", counting_init)
+        records = []
+        # WARNING is the threshold the silent-by-default hierarchy inherits
+        # from the root logger; pinning it on the handler keeps the check
+        # independent of levels other tests leave on the "kmt" logger.
+        handler = logging.Handler(level=logging.WARNING)
+        handler.emit = records.append
+        server = QueryServer(workers=1, backend="thread", default_theory="incnat")
+        updates = []
+        for method in ("inc", "observe", "set_gauge"):
+            original = getattr(server.metrics, method)
+
+            def spy(*args, _method=method, _original=original, **kwargs):
+                updates.append((_method, args[0]))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(server.metrics, method, spy)
+        logger = logging.getLogger("kmt")
+        logger.addHandler(handler)
         try:
-            _serve_requests(server, [record(op="sat", pred="x > 0", id="a")])
-            snapshot = server.metrics_snapshot()
-            assert "requests_total" not in snapshot["counters"]
-            # Gauges still report: they are sampled at snapshot time.
-            assert snapshot["gauges"]["workers"][0]["value"] == 1
+            out = _serve_requests(server, [
+                record(op="equiv", left="inc(x); x > 1", right="x > 0; inc(x)", id="q"),
+            ])
         finally:
+            logger.removeHandler(handler)
             server.shutdown()
+        assert out["q"]["ok"] is True and "trace" not in out["q"]
+        assert traces == []
+        assert records == []
+        assert sorted(updates) == [
+            ("inc", "requests_total"),
+            ("observe", "exec_latency_ms"),
+            ("observe", "queue_latency_ms"),
+            ("observe", "request_latency_ms"),
+        ]
 
 
 class TestExporterAgainstLiveServer:

@@ -23,6 +23,7 @@ behavior tests keeping the two backends semantically interchangeable.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -258,32 +259,30 @@ def make_soak_workload(seed=SOAK_SEED, total=SOAK_REQUESTS):
     return lines
 
 
-def _isolated_derivative_cache():
+@contextlib.contextmanager
+def fresh_derivative_cache():
     """Fresh process-wide derivative memo (restores the previous one)."""
     from repro.engine.cache import LRUCache
 
     saved = automata.get_derivative_cache()
     automata.set_derivative_cache(LRUCache(maxsize=65536, name="deriv"))
-    return saved
+    try:
+        yield
+    finally:
+        automata.set_derivative_cache(saved)
 
 
 def run_path_batch(lines):
-    saved = _isolated_derivative_cache()
-    try:
+    with fresh_derivative_cache():
         responses, _ = run_batch_lines(list(lines))
-    finally:
-        automata.set_derivative_cache(saved)
     return responses
 
 
 def run_path_server(lines, backend, workers=3):
-    saved = _isolated_derivative_cache()
-    try:
-        stdin = io.StringIO("\n".join(lines) + "\n")
-        stdout = io.StringIO()
+    stdin = io.StringIO("\n".join(lines) + "\n")
+    stdout = io.StringIO()
+    with fresh_derivative_cache():
         serve_stdio(stdin, stdout, workers=workers, backend=backend)
-    finally:
-        automata.set_derivative_cache(saved)
     return [json.loads(line) for line in stdout.getvalue().splitlines()]
 
 
@@ -376,6 +375,163 @@ class TestDifferentialSoak:
             assert payload["counterexample"] == cex.describe()
             checked += 1
         assert checked >= 20  # the workload must really exercise witnesses
+
+
+# ---------------------------------------------------------------------------
+# scaling: worker threads under solver latency, processes under compute
+# ---------------------------------------------------------------------------
+
+#: Simulated per-call solver latency for the scaling workloads (GIL-released).
+SCALING_ORACLE_MS = 6
+SCALING_THEORIES = "incnat,bitvec,netkat"
+
+
+def available_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        return os.cpu_count() or 1
+
+
+def make_oracle_workload(offset=0):
+    """60 mixed-theory requests whose cost is mostly oracle waits.
+
+    Mostly distinct queries (distinct atoms mean real oracle calls), with
+    every 5th request replaying an earlier one so the warm caches are
+    exercised too.  ``offset`` shifts every atom, giving a workload that
+    shares nothing with the unshifted one.
+    """
+    lines = []
+
+    def add(**fields):
+        fields["id"] = f"q{len(lines)}"
+        lines.append(json.dumps(fields))
+
+    def vary(i):
+        return offset + (i // 5 if i % 5 == 4 else i)
+
+    per_theory = 20
+    for i in range(per_theory):
+        k = vary(i) + 1
+        if i % 2:
+            add(op="equiv", theory="incnat",
+                left=f"x > {k}; inc(x); x > {k + 2}",
+                right=f"x > {k}; x > {k - 1}; inc(x); x > {k + 2}")
+        else:
+            add(op="equiv", theory="incnat",
+                left=f"inc(x); x > {k + 1}", right=f"x > {k}; inc(x)")
+    for i in range(per_theory):
+        k = vary(i)
+        if i % 2:
+            add(op="equiv", theory="bitvec",
+                left=f"v{k} = T; flip v{k}", right=f"v{k} = T; flip v{k}; v{k} = F")
+        else:
+            add(op="sat", theory="bitvec", pred=f"v{k} = T + ~(v{k} = T)")
+    for i in range(per_theory):
+        k = vary(i)
+        add(op="equiv", theory="netkat",
+            left=f"sw = {k}; sw <- {k + 1}", right=f"sw = {k}; sw <- {k + 1}; sw = {k + 1}")
+    return lines
+
+
+def make_compute_workload(total, tag):
+    """``total`` CPU-bound requests: 7-8-wide bitvec guard sums.
+
+    Each query's signature search decides one language comparison per guard
+    combination, all in-process; ``tag`` prefixes every variable name, so a
+    workload never hits what an earlier one left in the caches.  Names are
+    resampled until the requests' affinity stripes round-robin over 4
+    shards, so the measured speedup is not capped by one unlucky hash draw.
+    ``q{i}`` is equivalent exactly when ``i % 4 != 3``.
+    """
+    lines = []
+    for index in range(total):
+        width = 7 + index % 2
+        for attempt in range(64):
+            prefix = f"{tag}{index}v{attempt}x"
+            guards = [f"g{prefix}{j} = T; b{prefix}{j} := T" for j in range(width)]
+            left = " + ".join(guards)
+            if index % 4 == 3:
+                # An inequivalent tail: one branch assigns the other value.
+                last = width - 1
+                right = " + ".join(guards[:-1] + [f"g{prefix}{last} = T; b{prefix}{last} := F"])
+            else:
+                right = f"({left}) + ({left})"
+            request = {"op": "equiv", "theory": "bitvec", "left": left, "right": right,
+                       "id": f"q{index}"}
+            if _affinity_stripe(request, 4) == index % 4:
+                break
+        lines.append(json.dumps(request))
+    return lines
+
+
+def serve_timed(front, lines):
+    """Submit ``lines`` to a started :class:`QueryServer` or router and wait
+    for the answers; returns ``(seconds, {id: response})`` after checking
+    every id came back exactly once, ok."""
+    sink = ListSink()
+    started = time.perf_counter()
+    for line in lines:
+        front.submit_line(line, sink)
+    assert front.wait_idle(timeout=120)
+    elapsed = time.perf_counter() - started
+    assert sorted(r["id"] for r in sink.responses) == sorted(
+        json.loads(line)["id"] for line in lines)
+    assert all(r["ok"] for r in sink.responses), sink.responses
+    return elapsed, {r["id"]: r for r in sink.responses}
+
+
+@pytest.mark.slow
+class TestScaling:
+    def test_thread_workers_overlap_solver_latency(self):
+        lines = make_oracle_workload()
+        seconds, answers = {}, {}
+        for workers in (1, 4):
+            with fresh_derivative_cache(), make_server(
+                    "thread", workers=workers, oracle_ms=SCALING_ORACLE_MS,
+                    oracle_theories=SCALING_THEORIES) as server:
+                seconds[workers], responses = serve_timed(server, lines)
+            answers[workers] = {key: comparable_response(response)
+                                for key, response in responses.items()}
+        assert answers[4] == answers[1]
+        speedup = seconds[1] / seconds[4]
+        print(f"thread_4 over thread_1 under solver latency: {speedup:.2f}x")
+        assert speedup > 1.0, f"4 thread workers did not beat 1 ({speedup:.2f}x)"
+
+    def test_process_backend_beats_threads_on_cpu_bound_work(self):
+        cpus = available_cpus()
+        if cpus < 2:
+            pytest.skip("1 CPU available: a parallel speedup is impossible")
+        required = 2.0 if cpus >= 4 else 1.2
+        # A workload cheap enough for pipe overhead to dominate would make
+        # this gate measure IPC, not parallelism: it must be CPU-bound.
+        sample = make_compute_workload(4, "sample")
+        with fresh_derivative_cache(), QueryServer(workers=1) as server:
+            single, _ = serve_timed(server, sample)
+        per_query_ms = single / len(sample) * 1000.0
+        assert per_query_ms >= 20.0, (
+            f"compute workload costs only {per_query_ms:.1f} ms per query")
+        total = 8
+        expected = {f"q{index}": index % 4 != 3 for index in range(total)}
+        best = {}
+        with fresh_derivative_cache(), QueryServer(workers=4) as threads, \
+                QueryServer(workers=4, backend="process") as processes:
+            assert processes.wait_ready(timeout=120)
+            # Interference from other load only ever slows a run: best of
+            # five, interleaved, each on a workload no earlier run warmed.
+            for repeat in range(5):
+                for name, server in (("thread", threads), ("process", processes)):
+                    elapsed, responses = serve_timed(
+                        server, make_compute_workload(total, f"{name}{repeat}"))
+                    assert {key: response["result"]["equivalent"]
+                            for key, response in responses.items()} == expected
+                    best[name] = min(best.get(name, elapsed), elapsed)
+        speedup = best["thread"] / best["process"]
+        print(f"process_4 over thread_4 on {cpus} CPUs: {speedup:.2f}x "
+              f"({per_query_ms:.1f} ms per query on one thread worker)")
+        assert speedup >= required, (
+            f"process backend {speedup:.2f}x < {required}x over the thread "
+            f"backend on CPU-bound work ({cpus} CPUs)")
 
 
 # ---------------------------------------------------------------------------
