@@ -43,8 +43,8 @@ mentioning the symbol is ``0``), so it falls into an implicit non-accepting
 symbol's column only removes transitions into the sink.
 
 The engine layer caches compiled automata in a per-session ``aut`` LRU
-(:class:`repro.engine.cache.EngineCaches`), keyed by the action's stable
-fingerprint — a warm session that has seen a restricted-action sum in any
+(:class:`repro.engine.cache.EngineCaches`), keyed by the hash-consed action
+itself — a warm session that has seen a restricted-action sum in any
 earlier query or signature reuses the minimized automaton instead of
 re-deriving it.  The session's :class:`repro.core.arena.ArenaPool` tracks the
 cached automata's flat-table footprint (the ``aut_bytes`` stat).

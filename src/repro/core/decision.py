@@ -257,14 +257,14 @@ class EquivalenceChecker:
         callers can tell stored exploration counters from fresh work.
         """
         equiv = self.caches.equiv
-        key = self.caches.nf_pair_key(x, y)
+        key = (x, y)
         cached = equiv.get(key, _CACHE_MISS)
         if cached is not _CACHE_MISS:
             return cached.as_cached()
         # Equivalence is symmetric; a positive verdict for (y, x) carries
         # over directly (a counterexample would need its sides swapped, so
         # negative verdicts are only reused in the queried orientation).
-        mirrored = equiv.get(self.caches.nf_pair_key(y, x), _CACHE_MISS)
+        mirrored = equiv.get((y, x), _CACHE_MISS)
         if mirrored is not _CACHE_MISS and mirrored.equivalent:
             return mirrored.as_cached()
         return self._decide(EquivalenceResult, self._comparer("equiv", cancel),
@@ -295,7 +295,7 @@ class EquivalenceChecker:
         """
         # Inclusion verdicts share the equivalence LRU under a tagged key (it
         # memoizes the same kind of object: a per-NF-pair verdict).
-        key = ("incl", self.caches.nf_pair_key(x, y))
+        key = ("incl", (x, y))
         cached = self.caches.equiv.get(key, _CACHE_MISS)
         if cached is not _CACHE_MISS:
             return cached.as_cached()
@@ -367,11 +367,10 @@ class EquivalenceChecker:
     # ------------------------------------------------------------------
     def _compile_cached(self, action, cancel=None):
         """The compiled (minimized) automaton of a restricted action,
-        memoized in the ``aut`` LRU under the action's stable fingerprint (so
-        warm sessions reuse automata across queries)."""
+        memoized in the ``aut`` LRU under the action itself (so warm sessions
+        reuse automata across queries)."""
         caches = self.caches
-        key = caches.term_key(action)
-        cached = caches.aut.get(key, _CACHE_MISS)
+        cached = caches.aut.get(action, _CACHE_MISS)
         if cached is not _CACHE_MISS:
             return cached
         trace = current_trace()
@@ -381,7 +380,7 @@ class EquivalenceChecker:
             with trace.span("compile"):
                 automaton = compile_automaton(action, cancel=cancel, pool=caches.arenas)
         self.states_compiled += automaton.raw_states
-        caches.aut.put(key, automaton)
+        caches.aut.put(action, automaton)
         return automaton
 
     def _comparer(self, kind, cancel):
@@ -392,21 +391,20 @@ class EquivalenceChecker:
         (asymmetric).  Verdicts are memoized in the ``sig`` LRU, inclusion
         verdicts under a tagged key so the two kinds never collide.
         """
-        pair_key = self.caches.action_pair_key
         if kind == "incl":
             def run(left, right):
                 return flat_includes(self._compile_cached(left, cancel),
                                      self._compile_cached(right, cancel), cancel=cancel)
 
             return _MemoizedComparison(
-                run, self.caches.sig, lambda l, r: ("incl", pair_key(l, r)), symmetric=False
+                run, self.caches.sig, lambda l, r: ("incl", (l, r)), symmetric=False
             )
 
         def run(left, right):
             return flat_compare(self._compile_cached(left, cancel),
                                 self._compile_cached(right, cancel), cancel=cancel)
 
-        return _MemoizedComparison(run, self.caches.sig, pair_key, symmetric=True)
+        return _MemoizedComparison(run, self.caches.sig, lambda l, r: (l, r), symmetric=True)
 
     # ------------------------------------------------------------------
     # derived queries
@@ -439,7 +437,7 @@ class EquivalenceChecker:
 
     def _satisfiable_pred(self, test):
         return self.caches.sat_pred.get_or_compute(
-            self.caches.pred_key(test), lambda: self.theory.satisfiable(test)
+            test, lambda: self.theory.satisfiable(test)
         )
 
     def partition(self, terms):

@@ -59,9 +59,7 @@ def canonicalize_test(pred):
 class NormalForm:
     """An immutable normal form: a set of ``(test, restricted-action)`` pairs."""
 
-    # ``_fp`` caches the engine layer's fingerprint key (see
-    # :func:`repro.engine.intern.fingerprint_normal_form`); unused by the core.
-    __slots__ = ("pairs", "_hash", "_fp")
+    __slots__ = ("pairs", "_hash")
 
     def __init__(self, pairs, validate=True):
         cleaned = set()

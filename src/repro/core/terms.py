@@ -32,15 +32,10 @@ class TermConfig:
     ``smart_constructors`` controls whether the algebraic rewrites (``p;1 = p``,
     ``a+a = a``, ``(p*)* = p*`` ...) are applied at construction time.  The
     ablation benchmark disables them to measure their effect.
-
-    ``hash_consing`` controls whether nodes are interned.  Disabling it keeps
-    the library correct (equality stays structural) but slows down the
-    normalization procedure's set operations.
     """
 
     def __init__(self):
         self.smart_constructors = True
-        self.hash_consing = True
 
 
 CONFIG = TermConfig()
@@ -59,32 +54,7 @@ class smart_constructors_disabled:
         return False
 
 
-class hash_consing_disabled:
-    """Context manager that temporarily disables hash consing."""
-
-    def __enter__(self):
-        self._saved = CONFIG.hash_consing
-        CONFIG.hash_consing = False
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        CONFIG.hash_consing = self._saved
-        return False
-
-
 _INTERN_TABLE = {}
-
-#: Optional callback invoked on every node the moment it is interned.  The
-#: engine layer (:mod:`repro.engine.intern`) installs a hook here so freshly
-#: constructed nodes get a stable fingerprint id eagerly instead of on first
-#: cache lookup; the core never depends on the hook being present.
-_INTERN_HOOK = None
-
-
-def set_intern_hook(hook):
-    """Install (or with ``None`` remove) the post-intern callback."""
-    global _INTERN_HOOK
-    _INTERN_HOOK = hook
 
 
 def clear_intern_table():
@@ -93,15 +63,11 @@ def clear_intern_table():
 
 
 def _intern(node):
-    if not CONFIG.hash_consing:
-        return node
     key = (node.__class__, node._key())
     existing = _INTERN_TABLE.get(key)
     if existing is not None:
         return existing
     _INTERN_TABLE[key] = node
-    if _INTERN_HOOK is not None:
-        _INTERN_HOOK(node)
     return node
 
 
@@ -113,9 +79,7 @@ def _intern(node):
 class Pred:
     """Base class for KAT predicates (tests)."""
 
-    # ``_fp`` is the engine layer's stable fingerprint id; it is assigned
-    # lazily (or eagerly via the intern hook) and never read by the core.
-    __slots__ = ("_hash", "size", "_fp")
+    __slots__ = ("_hash", "size")
 
     def _key(self):
         raise NotImplementedError
@@ -379,7 +343,7 @@ def por_all(preds):
 class Term:
     """Base class for KAT actions."""
 
-    __slots__ = ("_hash", "size", "_fp")
+    __slots__ = ("_hash", "size")
 
     def _key(self):
         raise NotImplementedError

@@ -5,11 +5,10 @@ The core (:mod:`repro.core`) faithfully reproduces the paper's pipeline —
 re-normalizes and re-derives automata from scratch.  The engine amortizes
 that work across queries:
 
-* :mod:`repro.engine.intern` — stable fingerprint ids for hash-consed terms,
-  predicates and normal forms (the cache keys everything else is built on);
 * :mod:`repro.engine.cache` — bounded, thread-safe LRU memo tables with
   hit/miss accounting, bundled per concern (normalization, derivatives,
-  satisfiability, equivalence verdicts);
+  satisfiability, equivalence verdicts) and keyed on the hash-consed terms,
+  predicates and normal forms themselves;
 * :mod:`repro.engine.session` — :class:`EngineSession`, a long-lived wrapper
   around :class:`~repro.core.kmt.KMT` that threads the caches through the
   normalizer, the signature search and the automata module, and
@@ -30,7 +29,6 @@ that work across queries:
 """
 
 from repro.engine.cache import CacheStats, EngineCaches, LRUCache
-from repro.engine.intern import fingerprint, fingerprint_normal_form
 from repro.engine.telemetry import (
     JsonLinesFormatter,
     MetricsExporter,
@@ -71,8 +69,6 @@ __all__ = [
     "Trace",
     "configure_logging",
     "current_trace",
-    "fingerprint",
-    "fingerprint_normal_form",
     "log_event",
     "merge_metrics",
     "render_prometheus",

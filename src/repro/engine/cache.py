@@ -16,18 +16,11 @@ import threading
 from collections import OrderedDict
 
 from repro.core.arena import ArenaPool
-from repro.engine.intern import fingerprint, fingerprint_normal_form
 
 _MISS = object()
 
 #: Entries in a bundle's ``source`` table (request text → parsed node).
 SOURCE_TABLE_SIZE = 4096
-
-#: Cap on the key→object reverse maps a bundle keeps for snapshot export
-#: (fingerprints are process-local counters, so exporting a table means
-#: recovering the term/normal form behind each key).  Overflow drops the
-#: oldest mappings, which only shrinks what a snapshot can export.
-_KEY_MEMORY_LIMIT = 65536
 
 
 class CacheStats:
@@ -242,19 +235,28 @@ def installed_derivative_stats():
 class EngineCaches:
     """The per-session bundle of memo tables the engine threads into the core.
 
+    Every table is keyed on the nodes themselves.  Terms and predicates are
+    hash consed, and their equality and hashing are structural, so a key
+    lookup is a cached-hash probe plus an identity check, and a structurally
+    equal twin (say, one rebuilt after
+    :func:`repro.core.terms.clear_intern_table`) still finds its entry.
+
     ================  =====================================================
     table             keyed by
     ================  =====================================================
-    ``norm``          term fingerprint → ``NormalForm``
+    ``norm``          term → ``NormalForm``
     ``sat_conj``      frozenset of ``(alpha, polarity)`` literals → bool
-    ``sat_pred``      predicate fingerprint → bool
-    ``equiv``         pair of normal-form fingerprint keys → result
-    ``sig``           pair of restricted-action fingerprints → ``(bool, word)``
-    ``aut``           restricted-action fingerprint → ``CompiledAutomaton``
+    ``sat_pred``      predicate → bool
+    ``equiv``         ``NormalForm`` pair ``(x, y)`` → result
+    ``sig``           restricted-action pair ``(left, right)`` → ``(bool, word)``
+    ``aut``           restricted action → ``CompiledAutomaton``
     ``prog``          While-program source text → ``(WhileProgram, Term)``
     ``source``        ``(kind, text)`` → parsed ``Term`` (``"t"``) / ``Pred`` (``"p"``)
     ``deriv``         ``(action, pi)`` → derivative (shared, process-wide)
     ================  =====================================================
+
+    ``equiv`` and ``sig`` also hold inclusion verdicts, under the tagged key
+    ``("incl", pair)``.
     """
 
     def __init__(
@@ -282,56 +284,6 @@ class EngineCaches:
         # footprint of whatever the aut LRU still retains (weak tracking — the
         # LRU's eviction policy stays the sole owner of automata lifetime).
         self.arenas = ArenaPool()
-        # Reverse maps from cache keys back to the objects that produced
-        # them, recorded by the key builders.  Fingerprints are process-local
-        # counters, so a snapshot cannot serialize the keys themselves; the
-        # export path walks a table and uses these maps to recover the term /
-        # normal form behind each key, serializing its *source text* instead
-        # (re-fingerprinted at import).  Bounded at ``_KEY_MEMORY_LIMIT``:
-        # overflow drops the oldest mappings, shrinking what a snapshot can
-        # export but never affecting query correctness.
-        self._key_lock = threading.Lock()
-        self._fp_objects = OrderedDict()  # fingerprint -> Term (norm/aut/sig keys)
-        self._nf_objects = OrderedDict()  # NF fingerprint key -> NormalForm
-
-    def _remember(self, table, key, value):
-        with self._key_lock:
-            if key not in table:
-                if len(table) >= _KEY_MEMORY_LIMIT:
-                    table.popitem(last=False)
-                table[key] = value
-
-    # -- key builders (used by repro.core.decision) ---------------------------
-    def term_key(self, term):
-        key = fingerprint(term)
-        self._remember(self._fp_objects, key, term)
-        return key
-
-    def pred_key(self, pred):
-        return fingerprint(pred)
-
-    def nf_pair_key(self, x, y):
-        kx, ky = fingerprint_normal_form(x), fingerprint_normal_form(y)
-        self._remember(self._nf_objects, kx, x)
-        self._remember(self._nf_objects, ky, y)
-        return (kx, ky)
-
-    def action_pair_key(self, left, right):
-        """Key for the signature comparison memo (a restricted-action pair)."""
-        kl, kr = fingerprint(left), fingerprint(right)
-        self._remember(self._fp_objects, kl, left)
-        self._remember(self._fp_objects, kr, right)
-        return (kl, kr)
-
-    def key_object(self, key):
-        """The term a fingerprint key was built from (None if not recorded)."""
-        with self._key_lock:
-            return self._fp_objects.get(key)
-
-    def key_normal_form(self, key):
-        """The normal form an NF fingerprint key was built from (or None)."""
-        with self._key_lock:
-            return self._nf_objects.get(key)
 
     # -- accounting ---------------------------------------------------------
     def all_caches(self):
@@ -378,9 +330,6 @@ class EngineCaches:
         """
         for cache in self.private_caches():
             cache.clear()
-        with self._key_lock:
-            self._fp_objects.clear()
-            self._nf_objects.clear()
 
     # -- snapshot export / import ------------------------------------------
     # The ``codec`` argument is duck-typed (it comes from
@@ -390,15 +339,13 @@ class EngineCaches:
     def export_state(self, codec):
         """Serialize the persistable tables to a JSON-safe dict.
 
-        Exports the ``norm`` / ``aut`` / ``sig`` / ``equiv`` / ``prog``
-        tables — the expensive, replayable state.  The satisfiability memos
-        are skipped (cheap to refill, and their keys carry raw theory
-        objects), and so is ``source`` (the first repeat of a text after a
-        restart re-fills it with one parse).  Entries whose keys can no
-        longer be mapped back to terms (reverse-map overflow) or that fail to
-        encode (a custom theory whose primitives do not round-trip) are
-        silently omitted: a snapshot is a warmth transfer, not a backup, so
-        completeness is best-effort.
+        Exports every live entry of the ``norm`` / ``aut`` / ``sig`` /
+        ``equiv`` / ``prog`` tables — the expensive, replayable state.  The
+        satisfiability memos are skipped (cheap to refill, and their keys
+        carry raw theory objects), and so is ``source`` (the first repeat of
+        a text after a restart re-fills it with one parse).  Entries that
+        fail to encode (a custom theory whose primitives do not round-trip)
+        are silently omitted: a snapshot is a warmth transfer, not a backup.
 
         Entries are emitted in canonical (term sort-key) order, not cache
         iteration order: the codec's node pool numbers subterms in encounter
@@ -413,79 +360,50 @@ class EngineCaches:
                 for test, action in nf.sorted_pairs()
             )
 
-        norm_items = []
-        for key, nf in self.norm.items_snapshot():
-            term = self.key_object(key)
-            if term is not None:
-                norm_items.append((term, nf))
-        norm_items.sort(key=lambda item: item[0].sort_key())
-        norm_entries = []
-        for term, nf in norm_items:
-            try:
-                norm_entries.append(
-                    {"t": codec.encode_term(term), "nf": codec.encode_normal_form(nf)}
-                )
-            except SnapshotError:
-                continue
-        aut_items = []
-        for key, automaton in self.aut.items_snapshot():
-            term = self.key_object(key)
-            if term is not None:
-                aut_items.append((term, automaton))
-        aut_items.sort(key=lambda item: item[0].sort_key())
-        aut_entries = []
-        for term, automaton in aut_items:
-            try:
-                aut_entries.append(
-                    {"t": codec.encode_term(term), "a": codec.encode_automaton(automaton)}
-                )
-            except SnapshotError:
-                continue
-        sig_items = []
-        for key, verdict in self.sig.items_snapshot():
-            kind = "equiv"
-            if isinstance(key, tuple) and len(key) == 2 and key[0] == "incl":
-                kind, key = "incl", key[1]
-            left, right = self.key_object(key[0]), self.key_object(key[1])
-            if left is None or right is None:
-                continue
-            sig_items.append((kind, left, right, verdict))
-        sig_items.sort(
-            key=lambda item: (item[0], item[1].sort_key(), item[2].sort_key()))
-        sig_entries = []
-        for kind, left, right, (ok, word) in sig_items:
-            try:
-                sig_entries.append({
-                    "k": kind,
-                    "l": codec.encode_term(left),
-                    "r": codec.encode_term(right),
-                    "ok": bool(ok),
-                    "w": codec.encode_word(word),
-                })
-            except SnapshotError:
-                continue
-        equiv_items = []
-        for key, result in self.equiv.items_snapshot():
-            kind = "equiv"
-            if isinstance(key, tuple) and len(key) == 2 and key[0] == "incl":
-                kind, key = "incl", key[1]
-            x, y = self.key_normal_form(key[0]), self.key_normal_form(key[1])
-            if x is None or y is None:
-                continue
-            equiv_items.append((kind, x, y, result))
-        equiv_items.sort(
-            key=lambda item: (item[0], nf_sort_key(item[1]), nf_sort_key(item[2])))
-        equiv_entries = []
-        for kind, x, y, result in equiv_items:
-            try:
-                equiv_entries.append({
-                    "k": kind,
-                    "l": codec.encode_normal_form(x),
-                    "r": codec.encode_normal_form(y),
-                    "res": codec.encode_result(result),
-                })
-            except SnapshotError:
-                continue
+        def tagged(items):
+            """``(kind, left, right, value)`` rows of a pair-keyed table."""
+            for key, value in items:
+                kind = "equiv"
+                if key[0] == "incl":
+                    kind, key = "incl", key[1]
+                yield kind, key[0], key[1], value
+
+        def encoded(rows, encode):
+            out = []
+            for row in rows:
+                try:
+                    out.append(encode(*row))
+                except SnapshotError:
+                    continue
+            return out
+
+        norm_entries = encoded(
+            sorted(self.norm.items_snapshot(), key=lambda item: item[0].sort_key()),
+            lambda term, nf: {"t": codec.encode_term(term),
+                              "nf": codec.encode_normal_form(nf)})
+        aut_entries = encoded(
+            sorted(self.aut.items_snapshot(), key=lambda item: item[0].sort_key()),
+            lambda term, automaton: {"t": codec.encode_term(term),
+                                     "a": codec.encode_automaton(automaton)})
+        sig_entries = encoded(
+            sorted(tagged(self.sig.items_snapshot()),
+                   key=lambda row: (row[0], row[1].sort_key(), row[2].sort_key())),
+            lambda kind, left, right, verdict: {
+                "k": kind,
+                "l": codec.encode_term(left),
+                "r": codec.encode_term(right),
+                "ok": bool(verdict[0]),
+                "w": codec.encode_word(verdict[1]),
+            })
+        equiv_entries = encoded(
+            sorted(tagged(self.equiv.items_snapshot()),
+                   key=lambda row: (row[0], nf_sort_key(row[1]), nf_sort_key(row[2]))),
+            lambda kind, x, y, result: {
+                "k": kind,
+                "l": codec.encode_normal_form(x),
+                "r": codec.encode_normal_form(y),
+                "res": codec.encode_result(result),
+            })
         prog_entries = [
             {"src": text}
             for text, _ in sorted(
@@ -547,23 +465,21 @@ class EngineCaches:
     def install_state(self, staged):
         """Install a staged state into the live tables; returns import counts.
 
-        Key building goes through the normal key builders, so the reverse
-        maps are re-recorded and an imported entry is re-exportable from this
-        bundle.  Values are plain ``put``s — an import counts as puts, never
-        as synthetic hits/misses.
+        Values are plain ``put``s — an import counts as puts, never as
+        synthetic hits/misses.
         """
         for term, nf in staged["norm"]:
-            self.norm.put(self.term_key(term), nf)
+            self.norm.put(term, nf)
         for term, automaton in staged["aut"]:
-            self.aut.put(self.term_key(term), automaton)
+            self.aut.put(term, automaton)
             self.arenas.adopt(automaton)
         for kind, left, right, verdict in staged["sig"]:
-            key = self.action_pair_key(left, right)
+            key = (left, right)
             if kind == "incl":
                 key = ("incl", key)
             self.sig.put(key, verdict)
         for kind, x, y, result in staged["equiv"]:
-            key = self.nf_pair_key(x, y)
+            key = (x, y)
             if kind == "incl":
                 key = ("incl", key)
             self.equiv.put(key, result)

@@ -5,16 +5,16 @@ verdicts, equivalence results, compiled programs — normally dies with the
 process.  This module makes that warmth durable:
 
 * :class:`SnapshotCodec` — serializes one session's cache entries to
-  JSON-safe data and back.  Fingerprints are process-local counters, so keys
-  are serialized *structurally*: every term/predicate node goes into a
+  JSON-safe data and back.  JSON cannot carry live term objects, so keys are
+  serialized *structurally*: every term/predicate node goes into a
   per-session node **pool** (children referenced by index, hash-consed
   subterms encoded exactly once) whose leaves are the theory primitives'
   concrete syntax (``str(pi)`` / ``str(alpha)`` — the same contract the
   witness-word wire serialization relies on).  Decoding rebuilds nodes
   bottom-up through the smart constructors and only runs the text parser on
   the (few, tiny) leaf strings, so importing a multi-megabyte snapshot costs
-  milliseconds, not a re-parse of every cached term; hash-consing makes the
-  rebuilt terms re-fingerprint onto the same keys.
+  milliseconds, not a re-parse of every cached term; the rebuilt terms are
+  equal to (and, while interned, the very objects of) the live keys.
   ``CompiledAutomaton`` flat tables dump near-verbatim: the ``delta``/``back``
   ``array('i')`` buffers as base64 bytes (stamped with int width and byte
   order), the accepting bitset as hex, and the interned alphabet as pooled

@@ -9,7 +9,7 @@ the same facade but keeps everything warm between queries:
 * an :class:`~repro.engine.cache.EngineCaches` bundle threaded into the
   ``EquivalenceChecker`` (equivalence verdicts, satisfiability oracles) and
   installed into :mod:`repro.core.automata` (shared derivative memo);
-* a fingerprint-keyed normal-form cache in front of normalization itself, so
+* a term-keyed normal-form cache in front of normalization itself, so
   repeated and overlapping queries — ``partition``, Hoare-triple chains, the
   batch front end — never re-normalize the same term twice;
 * a source-text table in front of the parser, so a repeated request reaches
@@ -28,7 +28,6 @@ from repro.core import automata
 from repro.core import terms as T
 from repro.core.kmt import KMT
 from repro.core.pushback import DEFAULT_BUDGET, Normalizer
-from repro.engine import intern
 from repro.engine.cache import DERIVATIVE_CACHE, EngineCaches, installed_derivative_stats
 from repro.theories import build_theory
 from repro.utils.errors import KmtError
@@ -41,7 +40,6 @@ class EngineSession:
     """A persistent, cache-backed query engine for one client theory."""
 
     def __init__(self, theory, budget=DEFAULT_BUDGET, caches=None):
-        intern.install()
         self.caches = caches if caches is not None else EngineCaches()
         # The automata memo is a process-wide slot.  Only the *shared* table is
         # ever auto-installed: a session built with a custom ``caches=`` bundle
@@ -121,8 +119,7 @@ class EngineSession:
 
     def _normalize_cached(self, term, cancel=None):
         term = self._coerce_term(term)
-        key = self.caches.term_key(term)
-        cached = self.caches.norm.get(key, _MISS)
+        cached = self.caches.norm.get(term, _MISS)
         if cached is not _MISS:
             return cached
         self._normalizer.reset_stats()
@@ -140,7 +137,7 @@ class EngineSession:
         finally:
             self._normalizer.cancel = None
             self._cumulative_steps += self._normalizer.stats.steps
-        self.caches.norm.put(key, nf)
+        self.caches.norm.put(term, nf)
         return nf
 
     # ------------------------------------------------------------------
@@ -242,7 +239,7 @@ class EngineSession:
             self._normalize_cached(term, cancel=cancel), cancel=cancel)
 
     def satisfiable(self, pred):
-        """Satisfiability of a predicate, memoized by fingerprint."""
+        """Satisfiability of a predicate, memoized on the predicate."""
         self.queries += 1
         pred = self._coerce_pred(pred)
         return self.kmt.checker._satisfiable_pred(pred)
@@ -420,8 +417,8 @@ class ShardedSessionPool:
         """Warm every stripe from a snapshot payload; returns per-theory counts.
 
         Each theory's payload is decoded **once** (against the stripe-0
-        session: fingerprints are process-global, so the staged keys are
-        valid for every stripe) and the decoded values — automata, normal
+        session: the staged keys are the decoded nodes themselves, valid for
+        every stripe) and the decoded values — automata, normal
         forms, verdicts — are installed into all stripes, shared by
         reference.  Staging completes for every theory before any stripe is
         touched, keeping rejection atomic.

@@ -88,6 +88,57 @@ class TestCachedDecisions:
         assert session.caches.sat_conj.stats.hits > 0
 
 
+class TestStructuralCacheKeys:
+    """Memo tables key on the hash-consed nodes, whose equality is
+    structural: an equal twin built after the intern table is dropped finds
+    the entry its original stored."""
+
+    def _misses(self, session):
+        tables = session.stats()["tables"]
+        return {name: tables[name]["misses"] for name in ("norm", "aut", "equiv")}
+
+    def test_twins_hit_after_intern_table_clear(self):
+        session = EngineSession(BitVecTheory(variables=("a", "b", "c")))
+        original = session.parse("(a := T)*; (a := T)*")
+        assert session.equivalent("(a := T)*", "(a := T)*; (a := T)*")
+        assert session.stats()["tables"]["aut"]["puts"] > 0
+        warm = self._misses(session)
+
+        T.clear_intern_table()
+        # Spaced differently, so the source table misses and the parser
+        # builds fresh nodes: equal to the cached keys, but other objects.
+        twin = session.parse("(a := T)*  ;  (a := T)*")
+        assert twin is not original
+        assert twin == original and hash(twin) == hash(original)
+        assert session.equivalent("( a := T )*", "(a := T)*  ;  (a := T)*")
+        assert self._misses(session) == warm
+
+        # A new term normalizes afresh into twin actions; their compiled
+        # automata are still found under the original keys.
+        assert not session.is_empty("b = T; (a := T)*")
+        after = self._misses(session)
+        assert after["aut"] == warm["aut"]
+        assert after["norm"] == warm["norm"] + 1
+
+    def test_equal_normal_forms_share_one_equiv_entry(self):
+        from repro.core.normalform import NormalForm
+        from repro.theories.incnat import Gt, Incr
+
+        session = EngineSession(IncNatTheory(variables=("x",)))
+        pairs = {(T.pprim(Gt("x", 1)), T.tprim(Incr("x")))}
+        x, y = NormalForm(pairs), NormalForm(set(pairs))
+        assert x is not y and x == y
+        other = NormalForm({(T.pprim(Gt("x", 2)), T.tprim(Incr("x")))})
+        checker = session.kmt.checker
+        first = checker.check_equivalent_nf(x, other)
+        equiv = session.caches.equiv.stats
+        misses, puts = equiv.misses, equiv.puts
+        again = checker.check_equivalent_nf(y, other)
+        assert again.cached and again.equivalent == first.equivalent
+        assert (equiv.misses, equiv.puts) == (misses, puts)
+        assert len(session.caches.equiv) == 1
+
+
 class TestSessionAgreesWithKMT:
     @pytest.mark.parametrize(
         "left,right",

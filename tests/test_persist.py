@@ -99,6 +99,71 @@ class TestRoundTrip:
         assert result.equivalent and result.cached
 
 
+# A mixed warm-up over every persisted table: equivalence and inclusion
+# verdicts (tagged and untagged ``equiv``/``sig`` keys), emptiness (compiled
+# automata without a pair verdict) and the normal forms behind all of them.
+MIXED_QUERIES = [
+    ("equiv", "(a := T)*", "(a := T)*; (a := T)*", True),
+    ("equiv", "a = T; b := F", "b := F; a = T", True),
+    ("equiv", "(a := T + b := T)*", "(a := T)* ; (b := T)*", False),
+    ("incl", "a := T", "a := T + b := F", True),
+    ("incl", "(a := T)*", "a := T", False),
+    ("empty", "a = T; a = F", None, True),
+    ("empty", "(c := T)*; c = F", None, False),
+]
+
+#: Written by the code before the engine keyed its tables on the nodes
+#: themselves (commit 033bfe3) from a bitvec pool warmed on MIXED_QUERIES;
+#: that code reported these import counts for it.
+V1_SNAPSHOT = os.path.join(os.path.dirname(__file__), "fixtures",
+                               "snapshot_v1_bitvec.json")
+V1_SNAPSHOT_COUNTS = {"norm": 10, "aut": 7, "sig": 4, "equiv": 5, "prog": 0}
+
+
+def _run_mixed(session):
+    """Answer MIXED_QUERIES; returns ``(verdict, replayed-from-memo)`` rows."""
+    rows = []
+    for op, left, right, _ in MIXED_QUERIES:
+        if op == "equiv":
+            result = session.check_equivalent(left, right)
+            rows.append((result.equivalent, result.cached))
+        elif op == "incl":
+            result = session.check_inclusion(left, right)
+            rows.append((result.includes, result.cached))
+        else:
+            rows.append((session.is_empty(left), None))
+    return rows
+
+
+class TestSnapshotCompleteness:
+    def test_export_holds_every_live_entry(self):
+        session = _session()
+        _run_mixed(session)
+        tables = session.export_state()["tables"]
+        for name in ("norm", "aut", "sig", "equiv"):
+            live = len(getattr(session.caches, name))
+            assert live > 0, name
+            assert len(tables[name]) == live, name
+
+    def test_snapshot_from_earlier_code_imports_with_same_counts(self):
+        with open(V1_SNAPSHOT) as handle:
+            entries = json.load(handle)["sessions"]["bitvec"]["tables"]
+        assert {name: len(rows) for name, rows in entries.items()} == \
+            V1_SNAPSHOT_COUNTS
+
+        pool = ShardedSessionPool(stripes=1)
+        counts = pool.import_snapshot(SnapshotStore(V1_SNAPSHOT).load())
+        assert counts == {"bitvec": V1_SNAPSHOT_COUNTS}
+        session = pool.session("bitvec")
+        rows = _run_mixed(session)
+        assert [verdict for verdict, _ in rows] == \
+            [expected for *_, expected in MIXED_QUERIES]
+        # Every pair verdict is replayed from the imported memo, and so is
+        # every automaton: the warm pool compiles nothing.
+        assert all(cached for _, cached in rows if cached is not None)
+        assert session.stats()["tables"]["aut"]["misses"] == 0
+
+
 # ---------------------------------------------------------------------------
 # rejection: every bad snapshot is `snapshot_invalid` and leaves caches alone
 # ---------------------------------------------------------------------------

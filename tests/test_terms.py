@@ -119,14 +119,6 @@ class TestHashConsing:
         a2 = T.pand(T.pprim(BoolEq("a")), T.pprim(BoolEq("b")))
         assert a1 is a2
 
-    def test_disabled_hash_consing_still_equal(self):
-        with T.hash_consing_disabled():
-            a1 = T.pand(T.pprim(BoolEq("a")), T.pprim(BoolEq("b")))
-            a2 = T.pand(T.pprim(BoolEq("a")), T.pprim(BoolEq("b")))
-            assert a1 is not a2
-            assert a1 == a2
-            assert hash(a1) == hash(a2)
-
     def test_disabled_smart_constructors_keep_structure(self):
         a = T.pprim(BoolEq("a"))
         with T.smart_constructors_disabled():
