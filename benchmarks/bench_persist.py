@@ -5,8 +5,8 @@ the cache warmth built by past queries does the snapshot tier actually give
 back?  Both lanes run the *same* query set — the nested-sums-under-star
 family also used by ``bench_compile.py`` — in a **fresh spawned subprocess**,
 because an in-process "restart" is a lie: the process-wide derivative memo,
-the hash-consed term arena and the interned automaton alphabets would stay warm
-and flatter the cold lane.
+the hash-consed term intern table and the alphabet memos of
+:mod:`repro.core.automata` would stay warm and flatter the cold lane.
 
 1. **Seed lane** (subprocess): a cold session pool answers every query, then
    exports its caches through :class:`repro.engine.persist.SnapshotStore`.

@@ -454,6 +454,29 @@ def cmd_query(args):
     return 0 if response.get("ok") else 1
 
 
+def _at_least(convert, minimum, strict=False):
+    """An argparse ``type=`` for a number ``>= minimum`` (``> minimum`` when
+    ``strict``): any other value is a usage error (exit 2), not a traceback."""
+    bound = f"{'>' if strict else '>='} {minimum}"
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not (value > minimum if strict else value >= minimum):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    return parse
+
+
+_POSITIVE_INT = _at_least(int, 1)
+_POSITIVE_FLOAT = _at_least(float, 0, strict=True)
+_NON_NEGATIVE_FLOAT = _at_least(float, 0)
+
+
 def make_arg_parser():
     parser = argparse.ArgumentParser(
         prog="kmt",
@@ -556,7 +579,7 @@ def make_arg_parser():
     )
     batch.add_argument("file", help="JSONL file of requests, or '-' for stdin")
     batch.add_argument(
-        "--jobs", type=int, default=4,
+        "--jobs", type=_POSITIVE_INT, default=4,
         help="worker threads executing queries (default: 4)",
     )
     batch.add_argument(
@@ -573,7 +596,7 @@ def make_arg_parser():
         ),
     )
     serve.add_argument(
-        "--workers", type=int, default=4,
+        "--workers", type=_POSITIVE_INT, default=4,
         help="workers executing queries (default: 4)",
     )
     serve.add_argument(
@@ -585,11 +608,11 @@ def make_arg_parser():
         ),
     )
     serve.add_argument(
-        "--stripes", type=int, default=None,
+        "--stripes", type=_POSITIVE_INT, default=None,
         help="sessions per hot theory (default: one per worker)",
     )
     serve.add_argument(
-        "--queue-limit", type=int, default=128,
+        "--queue-limit", type=_POSITIVE_INT, default=128,
         help="max in-flight requests before intake blocks (backpressure)",
     )
     serve.add_argument(
@@ -624,7 +647,7 @@ def make_arg_parser():
         ),
     )
     serve.add_argument(
-        "--checkpoint-interval", type=float, default=None, metavar="SECS",
+        "--checkpoint-interval", type=_POSITIVE_FLOAT, default=None, metavar="SECS",
         help=(
             "also checkpoint the caches to --snapshot every SECS seconds in "
             "the background (default: only the final checkpoint on shutdown)"
@@ -651,7 +674,7 @@ def make_arg_parser():
         help="a backend server address; repeat once per backend",
     )
     route.add_argument(
-        "--queue-limit", type=int, default=256,
+        "--queue-limit", type=_POSITIVE_INT, default=256,
         help="max in-flight requests across all backends before intake blocks",
     )
     route.add_argument(
@@ -659,7 +682,7 @@ def make_arg_parser():
         help="emit responses in submission order instead of completion order",
     )
     route.add_argument(
-        "--ring-replicas", type=int, default=64,
+        "--ring-replicas", type=_POSITIVE_INT, default=64,
         help="virtual nodes per backend on the hash ring (default: 64)",
     )
     route.add_argument(
@@ -675,14 +698,14 @@ def make_arg_parser():
         help="seconds before an unanswered probe ejects a backend",
     )
     route.add_argument(
-        "--rate-limit", type=float, default=None, metavar="QPS",
+        "--rate-limit", type=_POSITIVE_FLOAT, default=None, metavar="QPS",
         help=(
             "per-client token-bucket admission limit in queries/second "
             "(default: off); excess answers a rate_limited error"
         ),
     )
     route.add_argument(
-        "--rate-burst", type=float, default=None, metavar="N",
+        "--rate-burst", type=_POSITIVE_FLOAT, default=None, metavar="N",
         help="token-bucket burst capacity (default: 2x the rate)",
     )
     route.add_argument(
@@ -729,7 +752,7 @@ def _add_observability_flags(sub):
         help="write the event log to PATH instead of stderr (implies --log-level info)",
     )
     sub.add_argument(
-        "--slow-query-ms", type=float, default=None, metavar="N",
+        "--slow-query-ms", type=_NON_NEGATIVE_FLOAT, default=None, metavar="N",
         help=(
             "log a slow_query event with the full phase breakdown for every "
             "request slower than N ms end-to-end (implies logging)"

@@ -1,4 +1,4 @@
-"""Compiled symbolic automata over restricted actions — flat-arena IR.
+"""Compiled symbolic automata over restricted actions — flat-table IR.
 
 The decision procedure compares restricted-action sums as regular languages.
 This module compiles a restricted action once into an explicit
@@ -7,7 +7,7 @@ This module compiles a restricted action once into an explicit
 
 * **dense int states** — derivative states are numbered 0..n-1 in BFS
   discovery order (state 0 is the start state);
-* **flat transition arena** — ``delta`` is a single contiguous ``array('i')``
+* **flat transition table** — ``delta`` is a single contiguous ``array('i')``
   of ``n_states × |sigma|`` entries in row-major order:
   ``delta[s * |sigma| + k]`` is the successor of state ``s`` under the
   ``k``-th symbol of the **canonical alphabet order**
@@ -19,10 +19,9 @@ This module compiles a restricted action once into an explicit
   start state holds ``(-1, -1)``) recorded at BFS discovery, so a shortest
   access word for any state is read off by walking pointers back to the
   start state;
-* **interned alphabets** — ``sigma`` is interned through
-  :mod:`repro.core.arena`, so the per-alphabet ``{symbol: index}`` map is
-  shared by every automaton over the same theory alphabet instead of being
-  duplicated per instance.
+* **symbol index** — ``index`` maps each symbol of ``sigma`` to its column,
+  built once per automaton (alphabets are a handful of symbols, so the map
+  is small and needs no sharing).
 
 Compilation finishes with **Hopcroft's partition-refinement minimization**
 followed by a **canonical trim**: symbols that occur in no accepted word are
@@ -32,7 +31,8 @@ BFS-renumbered minimal DFA is a *canonical value* of the action's language —
 two restricted actions denote the same language **iff** their compiled
 automata have identical ``(sigma, n_states, accepting, delta)`` tables.  The
 comparisons in :mod:`repro.core.kernels` decide most equal pairs that way,
-before any product walk.
+before any product walk; no object identity is involved, so automata built
+in different sessions, or decoded from a snapshot, compare equal too.
 
 The automaton answers emptiness (:meth:`CompiledAutomaton.is_empty`, a field
 read) and word membership (:meth:`CompiledAutomaton.accepts`, O(|word|)
@@ -46,8 +46,8 @@ The engine layer caches compiled automata in a per-session ``aut`` LRU
 (:class:`repro.engine.cache.EngineCaches`), keyed by the hash-consed action
 itself — a warm session that has seen a restricted-action sum in any
 earlier query or signature reuses the minimized automaton instead of
-re-deriving it.  The session's :class:`repro.core.arena.ArenaPool` tracks the
-cached automata's flat-table footprint (the ``aut_bytes`` stat).
+re-deriving it.  The ``aut_bytes`` stat sums :attr:`CompiledAutomaton.nbytes`
+over that table.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from array import array
 from collections import deque
 
 from repro.core import terms as T
-from repro.core.arena import intern_sigma, note_sigma_use, sigma_index
 from repro.core.automata import (
     canonical,
     derivative,
@@ -85,14 +84,14 @@ class CompiledAutomaton:
     languages), where the row count is not recoverable from ``len(delta)``.
     """
 
-    __slots__ = ("sigma", "delta", "accepting", "back", "n_states",
-                 "raw_states", "__weakref__")
+    __slots__ = ("sigma", "index", "delta", "accepting", "back", "n_states",
+                 "raw_states")
 
     #: The start state (states are renumbered so it is always 0).
     initial = 0
 
     def __init__(self, sigma, delta, accepting, back, raw_states, n_states=None):
-        sigma = intern_sigma(sigma)
+        sigma = tuple(sigma)
         nsym = len(sigma)
         if isinstance(delta, array):
             flat_delta = delta
@@ -125,15 +124,12 @@ class CompiledAutomaton:
                 f"back length {len(flat_back)} does not match {n_states} states"
             )
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "index", {pi: k for k, pi in enumerate(sigma)})
         object.__setattr__(self, "delta", flat_delta)
         object.__setattr__(self, "accepting", accepting)
         object.__setattr__(self, "back", flat_back)
         object.__setattr__(self, "n_states", n_states)
         object.__setattr__(self, "raw_states", raw_states)
-        # Pin the alphabet as canonically interned for this automaton's
-        # lifetime: the intern table's overflow eviction skips alphabets with
-        # live users, preserving the sigma-identity equality fast path.
-        note_sigma_use(sigma, self)
 
     def __setattr__(self, name, value):
         raise AttributeError(
@@ -155,10 +151,6 @@ class CompiledAutomaton:
         return self.n_states
 
     @property
-    def n_symbols(self):
-        return len(self.sigma)
-
-    @property
     def nbytes(self):
         """Heap bytes of the flat tables (delta + back + accepting bitset)."""
         return (
@@ -173,23 +165,10 @@ class CompiledAutomaton:
     def is_accepting(self, state):
         return state != _DEAD and bool((self.accepting >> state) & 1)
 
-    def symbol_index(self, pi):
-        """Position of a primitive action in the canonical order (None if absent)."""
-        return sigma_index(self.sigma).get(pi)
-
     def row(self, state):
         """The successor row of one state (a memoryview slice, no copy)."""
         nsym = len(self.sigma)
         return memoryview(self.delta)[state * nsym:(state + 1) * nsym]
-
-    def step(self, state, pi):
-        """One transition; symbols outside the alphabet go to the dead sink."""
-        if state == _DEAD:
-            return _DEAD
-        k = sigma_index(self.sigma).get(pi)
-        if k is None:
-            return _DEAD
-        return self.delta[state * len(self.sigma) + k]
 
     def __repr__(self):
         return (
@@ -212,7 +191,7 @@ class CompiledAutomaton:
     def accepts(self, word):
         """Word membership: does the automaton accept this sequence of
         primitive actions?  Unknown symbols fall into the dead sink."""
-        index = sigma_index(self.sigma)
+        index = self.index
         nsym = len(self.sigma)
         delta = self.delta
         state = self.initial
@@ -258,7 +237,7 @@ class CompiledAutomaton:
 # ---------------------------------------------------------------------------
 
 
-def compile_automaton(action, cancel=None, minimize=True, pool=None):
+def compile_automaton(action, cancel=None, minimize=True):
     """Compile a restricted action into a :class:`CompiledAutomaton`.
 
     Runs one BFS over the action's Brzozowski derivatives (through the
@@ -268,9 +247,7 @@ def compile_automaton(action, cancel=None, minimize=True, pool=None):
     canonically trims dead symbols/sink (``minimize=False`` keeps the raw
     derivative automaton, for tests and the minimization benchmark).
     ``cancel`` is the usual cooperative-cancellation callable, invoked once
-    per explored state.  ``pool`` is an optional
-    :class:`repro.core.arena.ArenaPool` that adopts the finished automaton
-    for memory accounting (the engine threads its per-session pool here).
+    per explored state.
     """
     if not T.is_restricted(action):
         raise KmtError("compile_automaton expects a restricted action")
@@ -303,19 +280,12 @@ def compile_automaton(action, cancel=None, minimize=True, pool=None):
         delta.append(row)
     raw_states = len(order)
     if not minimize:
-        automaton = CompiledAutomaton(sigma, delta, accepting, back, raw_states)
-    else:
-        trace = current_trace()
-        if trace is None:
-            automaton = _minimized(sigma, delta, accepting, raw_states, cancel=cancel)
-        else:
-            with trace.span("minimize"):
-                automaton = _minimized(
-                    sigma, delta, accepting, raw_states, cancel=cancel
-                )
-    if pool is not None:
-        pool.adopt(automaton)
-    return automaton
+        return CompiledAutomaton(sigma, delta, accepting, back, raw_states)
+    trace = current_trace()
+    if trace is None:
+        return _minimized(sigma, delta, accepting, raw_states, cancel=cancel)
+    with trace.span("minimize"):
+        return _minimized(sigma, delta, accepting, raw_states, cancel=cancel)
 
 
 def _minimized(sigma, delta, accepting, raw_states, cancel=None):

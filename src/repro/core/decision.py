@@ -375,10 +375,10 @@ class EquivalenceChecker:
             return cached
         trace = current_trace()
         if trace is None:
-            automaton = compile_automaton(action, cancel=cancel, pool=caches.arenas)
+            automaton = compile_automaton(action, cancel=cancel)
         else:
             with trace.span("compile"):
-                automaton = compile_automaton(action, cancel=cancel, pool=caches.arenas)
+                automaton = compile_automaton(action, cancel=cancel)
         self.states_compiled += automaton.raw_states
         caches.aut.put(action, automaton)
         return automaton

@@ -10,7 +10,8 @@ tables of :mod:`repro.core.compile`:
      (see :func:`repro.core.compile._minimized`) make the compiled artifact a
      canonical value of its language, so *equal tables ⇔ equal languages* —
      the hot case (warm caches, equivalent sums) is decided by comparing two
-     flat buffers, no walk at all;
+     flat buffers, no walk at all.  Only values are compared, so the path
+     fires for automata from different sessions or snapshots alike;
   2. otherwise a breadth-first **product walk**, one pair of states at a
      time, which stops at the first pair that accepts on one side only (on
      the left only, for containment) and returns the word that reached it —
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.core.arena import sigma_index
 from repro.core.compile import _DEAD
 from repro.utils.trace import current_trace
 
@@ -105,10 +105,10 @@ def _flat_includes(a, b, cancel):
 
 
 def _merged_sigma(a, b):
-    """The two automata's alphabets merged in canonical order, plus the
-    per-automaton symbol-index maps (``_DEAD`` marks an absent symbol)."""
-    index_a = sigma_index(a.sigma)
-    index_b = sigma_index(b.sigma)
+    """The two automata's alphabets merged in canonical order, plus, per
+    automaton, each merged symbol's column (``_DEAD`` marks an absent one)."""
+    index_a = a.index
+    index_b = b.index
     if a.sigma == b.sigma:
         merged = a.sigma
     else:

@@ -15,8 +15,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from repro.core.arena import ArenaPool
-
 _MISS = object()
 
 #: Entries in a bundle's ``source`` table (request text → parsed node).
@@ -256,7 +254,9 @@ class EngineCaches:
     ================  =====================================================
 
     ``equiv`` and ``sig`` also hold inclusion verdicts, under the tagged key
-    ``("incl", pair)``.
+    ``("incl", pair)``.  :meth:`stats` reports ``aut_bytes``, the flat-table
+    footprint of the automata ``aut`` retains, summed over that table on
+    each call.
     """
 
     def __init__(
@@ -279,11 +279,6 @@ class EngineCaches:
         self.prog = LRUCache(prog_size, name="prog")
         self.source = LRUCache(SOURCE_TABLE_SIZE, name="source")
         self.deriv = DERIVATIVE_CACHE if deriv is None else deriv
-        # The per-session arena pool: compile_automaton adopts every automaton
-        # it builds for this bundle, so ``aut_bytes`` reports the flat-table
-        # footprint of whatever the aut LRU still retains (weak tracking — the
-        # LRU's eviction policy stays the sole owner of automata lifetime).
-        self.arenas = ArenaPool()
 
     # -- accounting ---------------------------------------------------------
     def all_caches(self):
@@ -318,8 +313,9 @@ class EngineCaches:
             "hits": sum(snap["hits"] for snap in snapshots),
             "misses": sum(snap["misses"] for snap in snapshots),
         }
-        return {"tables": per_table, "totals": totals,
-                "aut_bytes": self.arenas.aut_bytes}
+        # ``aut_bytes``: flat-table bytes of the automata the aut LRU retains.
+        aut_bytes = sum(aut.nbytes for _, aut in self.aut.items_snapshot())
+        return {"tables": per_table, "totals": totals, "aut_bytes": aut_bytes}
 
     def clear(self):
         """Drop this bundle's tables.
@@ -472,7 +468,6 @@ class EngineCaches:
             self.norm.put(term, nf)
         for term, automaton in staged["aut"]:
             self.aut.put(term, automaton)
-            self.arenas.adopt(automaton)
         for kind, left, right, verdict in staged["sig"]:
             key = (left, right)
             if kind == "incl":

@@ -15,17 +15,14 @@ One class, three layers of convenience:
 
 Used by the cluster router (one multiplexed ``SocketClient`` per backend),
 by the socket-mode tests, and by ``kmt query --connect HOST:PORT``.
-:class:`SocketClientPool` adds bounded connection reuse for callers that
-issue independent one-shot requests against one address.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-import threading
 
-__all__ = ["SocketClient", "SocketClientPool"]
+__all__ = ["SocketClient"]
 
 
 class SocketClient:
@@ -212,71 +209,3 @@ class SocketClient:
                 return responses
             responses.append(response)
 
-
-class SocketClientPool:
-    """A bounded pool of :class:`SocketClient` connections to one address.
-
-    ``acquire`` hands out an idle connection (dialing a new one when none is
-    idle and the pool is under ``limit``, blocking otherwise); ``release``
-    returns it — or discards it if it broke.  For callers running independent
-    sequential conversations; the router does *not* use this (it multiplexes
-    one connection per backend instead).
-    """
-
-    def __init__(self, host, port, limit=4, connect_timeout=5.0, io_timeout=None):
-        self.host = host
-        self.port = port
-        self.limit = limit
-        self.connect_timeout = connect_timeout
-        self.io_timeout = io_timeout
-        self._idle = []
-        self._total = 0
-        self._state = threading.Condition()
-        self._closed = False
-
-    def acquire(self, timeout=None):
-        with self._state:
-            while True:
-                if self._closed:
-                    raise ConnectionError("pool is closed")
-                if self._idle:
-                    return self._idle.pop()
-                if self._total < self.limit:
-                    self._total += 1
-                    break
-                if not self._state.wait(timeout=timeout):
-                    raise TimeoutError(
-                        f"no free connection to {self.host}:{self.port} "
-                        f"after {timeout}s")
-        try:
-            return SocketClient(self.host, self.port, self.connect_timeout,
-                                self.io_timeout).connect()
-        except Exception:
-            with self._state:
-                self._total -= 1
-                self._state.notify()
-            raise
-
-    def release(self, client):
-        with self._state:
-            if client.connected and not self._closed:
-                self._idle.append(client)
-            else:
-                client.close()
-                self._total -= 1
-            self._state.notify()
-
-    def close(self):
-        with self._state:
-            self._closed = True
-            for client in self._idle:
-                client.close()
-            self._total -= len(self._idle)
-            self._idle.clear()
-            self._state.notify_all()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()

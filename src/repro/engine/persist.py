@@ -17,8 +17,10 @@ process.  This module makes that warmth durable:
   equal to (and, while interned, the very objects of) the live keys.
   ``CompiledAutomaton`` flat tables dump near-verbatim: the ``delta``/``back``
   ``array('i')`` buffers as base64 bytes (stamped with int width and byte
-  order), the accepting bitset as hex, and the interned alphabet as pooled
-  primitive leaves.
+  order), the accepting bitset as hex, and the alphabet as pooled primitive
+  leaves.  A decoded automaton is a plain value: it equals a freshly
+  compiled one table for table, so the comparison fast path treats the two
+  alike.
 
 * :class:`SnapshotStore` — a versioned on-disk store.  Files carry a format
   magic + version and a per-session theory stamp; stale or foreign snapshots

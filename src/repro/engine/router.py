@@ -554,6 +554,8 @@ class Router:
             raise ValueError(f"queue_limit must be at least 1, got {queue_limit}")
         if rate_limit is not None and rate_limit <= 0:
             raise ValueError(f"rate_limit must be positive, got {rate_limit}")
+        if rate_burst is not None and rate_burst <= 0:
+            raise ValueError(f"rate_burst must be positive, got {rate_burst}")
         self.queue_limit = queue_limit
         self.max_retries = max_retries
         self.probe_interval = probe_interval

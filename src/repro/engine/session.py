@@ -15,6 +15,10 @@ the same facade but keeps everything warm between queries:
 * a source-text table in front of the parser, so a repeated request reaches
   its first memo without re-parsing any of its text fields.
 
+:meth:`EngineSession.stats` reports the bundle's tables plus a ``session``
+block; its ``aut_bytes`` is the one sum over the ``aut`` table that
+:meth:`~repro.engine.cache.EngineCaches.stats` computed.
+
 Sessions are *not* thread-safe; callers take :attr:`EngineSession.lock`
 for exclusive access.  :class:`ShardedSessionPool` keeps the sessions of a
 batch run or a server alive: one per ``(theory, stripe)`` pair.
@@ -267,9 +271,9 @@ class EngineSession:
             # Raw derivative states explored by automaton compilation; aut
             # cache hits compile nothing, so a warm session's counter stalls.
             "states_compiled": self.kmt.checker.states_compiled,
-            # Live flat-table bytes of this session's compiled automata
-            # (tracked by the arena pool; falls as the aut LRU evicts).
-            "aut_bytes": self.caches.arenas.aut_bytes,
+            # Flat-table bytes of the automata the aut LRU retains (computed
+            # once above; falls as the LRU evicts).
+            "aut_bytes": out["aut_bytes"],
             "pb_star_memo": len(self._normalizer._pb_star_cache),
             "pb_prim_memo": len(self._normalizer._pb_prim_cache),
         }

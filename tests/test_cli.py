@@ -112,6 +112,44 @@ class TestErrorHandling:
         assert "budget" in capsys.readouterr().err
 
 
+class TestNumericOptionBounds:
+    """Out-of-range numeric options are usage errors (exit 2), never a
+    traceback or a server that leaves requests unanswered."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--workers", "0"],
+        ["serve", "--queue-limit", "0"],
+        ["serve", "--stripes", "0"],
+        ["serve", "--slow-query-ms", "-1"],
+        ["serve", "--snapshot", "snap.json", "--checkpoint-interval", "-5"],
+        ["serve", "--checkpoint-interval", "0"],
+        ["batch", "-", "--jobs", "0"],
+        ["batch", "-", "--slow-query-ms", "nan"],
+        ["route", "--socket", "127.0.0.1:0", "--backend", "127.0.0.1:1",
+         "--queue-limit", "0"],
+        ["route", "--socket", "127.0.0.1:0", "--backend", "127.0.0.1:1",
+         "--ring-replicas", "0"],
+        ["route", "--socket", "127.0.0.1:0", "--backend", "127.0.0.1:1",
+         "--rate-limit", "0"],
+        ["route", "--socket", "127.0.0.1:0", "--backend", "127.0.0.1:1",
+         "--rate-limit", "5", "--rate-burst", "0"],
+        ["serve", "--workers", "two"],
+    ])
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+
+    def test_zero_slow_query_threshold_is_allowed(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"op": "sat", "pred": "x > 1"}\n'))
+        assert main(["batch", "-", "--slow-query-ms", "0"]) == 0
+        assert '"ok": true' in capsys.readouterr().out
+
+
 class TestCellSearchFlag:
     def test_signature_output_by_default(self, capsys):
         code = main(["--theory", "incnat", "equiv", "inc(x); x > 1", "x > 0; inc(x)"])

@@ -12,9 +12,10 @@ Covers, layer by layer:
 * ``accepts_batch`` parity with the scalar ``accepts`` loop across batch
   sizes, unknown symbols, and the empty word;
 * the ``kernel`` trace phase and its counters;
-* the arena layer: process-wide sigma interning, ``ArenaPool`` weak
-  tracking, and ``aut_bytes`` in every stats aggregation (session, sharded
-  pool, merged worker blocks);
+* automata as plain values: the canonical-table fast path fires across
+  separate cache bundles and a cleared term intern table, and ``aut_bytes``
+  (the sum of ``nbytes`` over the ``aut`` table) in every stats aggregation
+  (session, sharded pool, merged worker blocks);
 * batched membership end to end (``member_nf_many`` → ``KMT.member_many``
   → ``EngineSession.member_many``) against the scalar path and the oracle;
 * the removed ``walk_kernel`` knob: rejected by every layer, CLI included.
@@ -22,14 +23,12 @@ Covers, layer by layer:
 
 from __future__ import annotations
 
-import gc
 import random
 
 import pytest
 
 from repro import cli
 from repro.core import terms as T
-from repro.core.arena import ArenaPool, intern_sigma, sigma_index
 from repro.core.compile import compile_automaton
 from repro.core.decision import EquivalenceChecker
 from repro.core.kernels import accepts_batch, flat_compare, flat_includes
@@ -41,6 +40,7 @@ from repro.core.oracle import (
     language_includes,
 )
 from repro.core.regexes import accepts_word
+from repro.engine.cache import EngineCaches
 from repro.engine.server import ShardedSessionPool, merge_pool_stats, run_batch_lines
 from repro.engine.session import EngineSession
 from repro.theories.bitvec import BitVecTheory, BoolAssign
@@ -280,34 +280,65 @@ class TestTraceCounters:
 
 
 # ---------------------------------------------------------------------------
-# the arena layer: interning, pools, aut_bytes aggregation
+# automata as plain values: fast path without shared objects, aut_bytes
 # ---------------------------------------------------------------------------
 
 
-class TestArena:
-    def test_sigma_interned_across_automata(self):
-        a = compile_automaton(T.tseq(A, B))
-        b = compile_automaton(T.tplus(A, B))
-        assert a.sigma == b.sigma
-        assert a.sigma is b.sigma  # one canonical tuple per alphabet
-        assert sigma_index(a.sigma) is sigma_index(b.sigma)  # one shared index
-        assert intern_sigma(tuple(a.sigma)) is a.sigma
+def _fresh_action():
+    """``(a + b)*; a``, built bottom-up from the primitives on each call."""
+    a = T.tprim(BoolAssign("a", True))
+    b = T.tprim(BoolAssign("b", True))
+    return T.tseq(T.tstar(T.tplus(a, b)), a)
 
-    def test_arena_pool_tracks_live_bytes(self):
-        pool = ArenaPool()
-        aut = compile_automaton(T.tseq(A, B), pool=pool)
-        assert pool.live_count == 1
-        assert aut.nbytes > 0
-        assert pool.aut_bytes == aut.nbytes
-        stats = pool.stats()
-        assert stats["automata"] == 1 and stats["adopted"] == 1
-        assert stats["aut_bytes"] == aut.nbytes
-        # Weak tracking: dropping the only strong reference releases the
-        # bytes (the aut LRU's eviction policy owns lifetime, not the pool).
-        del aut
-        gc.collect()
-        assert pool.live_count == 0 and pool.aut_bytes == 0
-        assert pool.stats()["adopted"] == 1  # lifetime counter survives
+
+def _compiled_in_own_bundle(action):
+    checker = EquivalenceChecker(BitVecTheory(variables=("a", "b")),
+                                 caches=EngineCaches())
+    return checker._compile_cached(action)
+
+
+def _fastpath_counters(a, b):
+    trace = activate(Trace())
+    try:
+        assert flat_compare(a, b) == (True, None)
+    finally:
+        deactivate()
+    return (trace.counters.get("kernel_fastpath_hits", 0),
+            trace.counters.get("kernel_walk_fallbacks", 0))
+
+
+class TestArena:
+    """Compiled automata compare by value, and ``aut_bytes`` accounting."""
+
+    def test_separately_compiled_automata_take_the_fast_path(self):
+        first = _compiled_in_own_bundle(_fresh_action())
+        second = _compiled_in_own_bundle(_fresh_action())
+        T.clear_intern_table()
+        third = _compiled_in_own_bundle(_fresh_action())
+        for other in (second, third):
+            assert other is not first
+            assert _fastpath_counters(first, other) == (1, 0)
+
+    def test_aut_bytes_is_the_sum_over_the_aut_table(self):
+        session = EngineSession(IncNatTheory(variables=("x", "y")),
+                                caches=EngineCaches(aut_size=1))
+        compile_cached = session.kmt.checker._compile_cached
+
+        def reported():
+            stats = session.stats()
+            assert stats["aut_bytes"] == stats["session"]["aut_bytes"]
+            return stats["aut_bytes"]
+
+        session.check_equivalent("(inc(x) + inc(y))*", "(inc(x))*; (inc(y))*")
+        assert reported() == sum(
+            aut.nbytes for _, aut in session.caches.aut.items_snapshot()) > 0
+        big = compile_cached(session.parse("inc(x); inc(y); inc(x); inc(y); inc(x)"))
+        assert reported() == big.nbytes
+        small = compile_cached(session.parse("inc(x)"))
+        assert session.caches.aut.stats.evictions > 0
+        assert reported() == small.nbytes < big.nbytes
+        session.clear_caches()
+        assert reported() == 0
 
     def test_session_stats_report_aut_bytes(self):
         session = EngineSession(IncNatTheory(variables=("x",)))

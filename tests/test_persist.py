@@ -7,8 +7,8 @@ code and untouched caches, multi-contributor payload merging (pool
 hash-consing + reference remapping), and the end-to-end warm-start paths:
 ``kmt serve --snapshot`` restart and a SIGKILL'd process-backend worker that
 comes back warm.  The cache-integrity regressions that shipped with this tier
-(torn stats reads, duplicate compiles on a concurrent miss, alphabet-intern
-resets) live here too.
+(torn stats reads, duplicate compiles on a concurrent miss) live here too,
+with a check that a decoded automaton compares to a fresh compile by value.
 """
 
 import io
@@ -21,7 +21,8 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from repro.core import arena
+from repro.core.compile import compile_automaton
+from repro.core.kernels import flat_compare
 from repro.engine import persist
 from repro.engine.cache import LRUCache
 from repro.engine.persist import (
@@ -33,6 +34,7 @@ from repro.engine.persist import (
 from repro.engine.session import EngineSession, ShardedSessionPool
 from repro.theories.bitvec import BitVecTheory
 from repro.utils.errors import SnapshotError
+from repro.utils.trace import Trace, activate, deactivate
 from tests.conftest import bitvec_terms
 
 
@@ -475,32 +477,28 @@ class TestSingleFlight:
 
 
 # ---------------------------------------------------------------------------
-# regression: alphabet-intern reset broke live-sigma identity
+# decoded automata are plain values: the comparison fast path still fires
 # ---------------------------------------------------------------------------
 
 
-class TestInternOverflowKeepsLiveAlphabets:
-    def test_live_alphabet_survives_overflow(self, monkeypatch):
-        """Overflow used to clear the whole intern table; a live automaton's
-        alphabet then re-interned onto a *different* canonical tuple and the
-        kernels' identity fast path silently stopped firing."""
-        sigma = ("persist-test-p", "persist-test-q")
-        canon = arena.intern_sigma(sigma)
-
-        class LiveAutomaton:
-            pass
-
-        holder = LiveAutomaton()
-        arena.note_sigma_use(canon, holder)
-
-        monkeypatch.setattr(arena, "_INTERN_LIMIT", 4)
-        for index in range(64):  # far past the cap: forces eviction sweeps
-            arena.intern_sigma((f"persist-test-junk-{index}",))
-
-        assert arena.intern_sigma(("persist-test-p", "persist-test-q")) is canon
-        assert arena.sigma_index(canon) == {"persist-test-p": 0, "persist-test-q": 1}
-        del holder  # release: the alphabet is evictable again (no assertion —
-        # WeakSet clearing is GC-timing dependent; liveness is what's gated)
+class TestImportedAutomataCompareByValue:
+    def test_imported_automaton_takes_the_fast_path(self):
+        donor = _session()
+        donor.check_equivalent("(a := T + b := T)*", "(a := T)*; (b := T; (a := T)*)*")
+        warm = _session()
+        warm.import_state(json.loads(json.dumps(donor.export_state())))
+        imported = warm.caches.aut.items_snapshot()
+        assert imported
+        for action, automaton in imported:
+            fresh = compile_automaton(action)
+            assert fresh is not automaton
+            trace = activate(Trace())
+            try:
+                assert flat_compare(automaton, fresh) == (True, None)
+            finally:
+                deactivate()
+            assert trace.counters.get("kernel_fastpath_hits") == 1
+            assert "kernel_walk_fallbacks" not in trace.counters
 
 
 # ---------------------------------------------------------------------------

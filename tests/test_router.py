@@ -254,6 +254,13 @@ class TestRouterIntake:
         assert by_id["q1"]["error_code"] == ERROR_RATE_LIMITED
         assert "rate_limited" in router.router_stats()["requests"]["errors"]
 
+    @pytest.mark.parametrize("burst", [0, -1.5])
+    def test_non_positive_rate_burst_rejected_up_front(self, burst):
+        # A zero bucket would otherwise raise inside the connection thread on
+        # the client's first request, which then never gets an answer.
+        with pytest.raises(ValueError, match="rate_burst"):
+            Router(["127.0.0.1:1"], rate_limit=5.0, rate_burst=burst)
+
     def test_empty_ring_answers_backend_down(self):
         router = Router([("127.0.0.1", 1)])  # never started: ring stays empty
         sink = ListSink()
