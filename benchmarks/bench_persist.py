@@ -101,7 +101,7 @@ def _run_lane(sizes, snapshot_path, warm, out_path):
         "seconds": round(total_seconds, 6),
         "first_answer_seconds": round(first_seconds, 6),
         "load_seconds": round(load_seconds, 6) if load_seconds is not None else None,
-        "states_compiled": session.kmt.checker.states_compiled,
+        "states_compiled": session.checker.states_compiled,
         "equiv_hits": tables["equiv"]["hits"],
         "aut_puts": tables["aut"]["puts"],
     }

@@ -10,7 +10,11 @@ Quick start::
 The public API re-exports:
 
 * :class:`~repro.core.kmt.KMT` — a client theory plus everything the framework
-  derives (parser, tracing semantics, normalization, decision procedures);
+  derives (parser, tracing semantics, normalization, decision procedures,
+  program analyses).  One facade owns the memo tables and the normalizer,
+  so a ``KMT`` memoizes across calls; it is not thread-safe, and callers
+  that share one take ``kmt.lock``.  ``EngineSession`` is the engine's name
+  for the same class;
 * the term constructors of :mod:`repro.core.terms`;
 * the shipped client theories of :mod:`repro.theories`;
 * the While-program frontend of :mod:`repro.lang.while_lang`.

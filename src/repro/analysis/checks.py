@@ -2,7 +2,7 @@
 
 The paper's motivating workload (Section 1.1, Fig. 1) is verifying small
 imperative programs by compiling them to KMT terms.  This module turns that
-scenario into engine queries over a :class:`~repro.engine.session.EngineSession`:
+scenario into queries on a :class:`~repro.core.kmt.KMT` facade:
 
 ``verify``
     Decides the partial-correctness triple ``{pre} prog {post}`` via Kozen's
@@ -15,7 +15,7 @@ scenario into engine queries over a :class:`~repro.engine.session.EngineSession`
 
 ``prog_equiv``
     Decides equivalence of two While programs by compiling both and routing
-    the terms through the session's cached equivalence pipeline, so
+    the terms through the facade's cached equivalence pipeline, so
     edit-recheck loops hit warm normal forms, signature memos and the ``aut``
     LRU.
 
@@ -29,7 +29,7 @@ scenario into engine queries over a :class:`~repro.engine.session.EngineSession`
     span plus the innermost *reason guard* (the controlling branch/loop guard
     or the preceding ``assume``/``abort``) with its own span.
 
-All three parse program text through one session-local compile cache
+All three parse program text through the facade's compile cache
 (``caches.prog``: source text → compiled term + AST), so re-checking an
 unchanged program never re-parses, and re-checking a mutated one only pays
 for the parts whose *normal forms* changed.
@@ -55,30 +55,28 @@ from repro.utils.trace import current_trace
 _MISS = object()
 
 
-def compiled_program(session, text):
-    """Parse + compile a While program, memoized on the session by source text.
+def compiled_program(kmt, text):
+    """Parse + compile a While program, memoized on the facade by source text.
 
     Returns ``(WhileProgram, Term)``.  The parse+compile work is recorded
     under the ``prog_compile`` trace phase (cache hits record nothing).
     """
     if not isinstance(text, str):
         raise TypeError(f"a While program must be given as source text, got {text!r}")
-    cache = getattr(session.caches, "prog", None)
-    if cache is not None:
-        cached = cache.get(text, _MISS)
-        if cached is not _MISS:
-            return cached
+    cache = kmt.caches.prog
+    cached = cache.get(text, _MISS)
+    if cached is not _MISS:
+        return cached
     trace = current_trace()
     if trace is None:
-        program = parse_program(text, session.theory)
+        program = parse_program(text, kmt.theory)
         term = program.compile()
     else:
         with trace.span("prog_compile"):
-            program = parse_program(text, session.theory)
+            program = parse_program(text, kmt.theory)
             term = program.compile()
     value = (program, term)
-    if cache is not None:
-        cache.put(text, value)
+    cache.put(text, value)
     return value
 
 
@@ -95,13 +93,13 @@ def _search_counters(result):
     return payload
 
 
-def verify(session, pre, program, post, cancel=None):
+def verify(kmt, pre, program, post, cancel=None):
     """Decide ``{pre} program {post}``; returns the JSONL ``result`` payload."""
-    pre_pred = session.parse_pred(pre) if isinstance(pre, str) else pre
-    post_pred = session.parse_pred(post) if isinstance(post, str) else post
-    _, term = compiled_program(session, program)
+    pre_pred = kmt.parse_pred(pre) if isinstance(pre, str) else pre
+    post_pred = kmt.parse_pred(post) if isinstance(post, str) else post
+    _, term = compiled_program(kmt, program)
     encoding = HoareTriple(pre_pred, term, post_pred).encoding()
-    result = session.check_equivalent(encoding, T.tzero(), cancel=cancel)
+    result = kmt.check_equivalent(encoding, T.tzero(), cancel=cancel)
     payload = {"holds": result.equivalent}
     payload.update(_search_counters(result))
     if not result.equivalent and result.counterexample is not None:
@@ -114,11 +112,11 @@ def verify(session, pre, program, post, cancel=None):
     return payload
 
 
-def prog_equiv(session, left, right, cancel=None):
+def prog_equiv(kmt, left, right, cancel=None):
     """Decide equivalence of two While programs; returns the ``result`` payload."""
-    _, left_term = compiled_program(session, left)
-    _, right_term = compiled_program(session, right)
-    result = session.check_equivalent(left_term, right_term, cancel=cancel)
+    _, left_term = compiled_program(kmt, left)
+    _, right_term = compiled_program(kmt, right)
+    result = kmt.check_equivalent(left_term, right_term, cancel=cancel)
     payload = {"equivalent": result.equivalent}
     payload.update(_search_counters(result))
     if result.counterexample is not None:
@@ -212,7 +210,7 @@ class _DeadCodeWalk:
         return exit_prefix, reason
 
 
-def dead_code(session, program, cancel=None):
+def dead_code(kmt, program, cancel=None):
     """Per-statement unreachability report; returns the ``result`` payload.
 
     Statement order follows the source (pre-order over the AST).  A dead
@@ -220,14 +218,14 @@ def dead_code(session, program, cancel=None):
     statement nested under a dead construct is itself reported dead (its
     prefix language is empty too).
     """
-    prog, _ = compiled_program(session, program)
+    prog, _ = compiled_program(kmt, program)
     source = prog.source
     walker = _DeadCodeWalk(source)
     walker.walk(prog.body, T.tone(), None)
     statements = []
     dead = 0
     for stmt, prefix, reason in walker.entries:
-        is_dead = session._is_empty_nf_cached(prefix, cancel=cancel)
+        is_dead = kmt._is_empty_nf_cached(prefix, cancel=cancel)
         entry = {
             "text": _stmt_text(source, stmt),
             "dead": is_dead,

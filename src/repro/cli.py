@@ -117,22 +117,10 @@ def _read_program(arg):
     return arg
 
 
-def _make_session(args):
-    """An :class:`EngineSession` for the program-analysis verbs.
-
-    Unlike the bare :class:`KMT` facade, a session keeps its ``prog``, norm
-    and aut caches warm across the many emptiness queries a single
-    ``dead-code`` invocation issues.
-    """
-    from repro.engine.session import EngineSession
-
-    return EngineSession(build_theory(args.theory), budget=args.budget)
-
-
 def cmd_verify(args):
-    session = _make_session(args)
+    kmt = _make_kmt(args)
     started = time.perf_counter()
-    result = session.verify(args.pre, _read_program(args.program), args.post)
+    result = kmt.verify(args.pre, _read_program(args.program), args.post)
     elapsed = time.perf_counter() - started
     if result["holds"]:
         print(f"valid  ({elapsed:.3f}s, {result['cells_explored']} cells explored)")
@@ -146,9 +134,9 @@ def cmd_verify(args):
 
 
 def cmd_prog_equiv(args):
-    session = _make_session(args)
+    kmt = _make_kmt(args)
     started = time.perf_counter()
-    result = session.prog_equiv(_read_program(args.left), _read_program(args.right))
+    result = kmt.prog_equiv(_read_program(args.left), _read_program(args.right))
     elapsed = time.perf_counter() - started
     verdict = "equivalent" if result["equivalent"] else "NOT equivalent"
     print(f"{verdict}  ({elapsed:.3f}s, {result['cells_explored']} cells explored)")
@@ -160,10 +148,10 @@ def cmd_prog_equiv(args):
 def cmd_dead_code(args):
     from repro.utils.errors import caret_frame
 
-    session = _make_session(args)
+    kmt = _make_kmt(args)
     program = _read_program(args.program)
     started = time.perf_counter()
-    result = session.dead_code(program)
+    result = kmt.dead_code(program)
     elapsed = time.perf_counter() - started
     for entry in result["statements"]:
         marker = "DEAD" if entry["dead"] else "  ok"
@@ -439,7 +427,7 @@ def cmd_query(args):
         raw = args.request
     try:
         record = json.loads(raw)
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
         raise KmtError(f"request must be a JSON object: {error}")
     if not isinstance(record, dict):
         raise KmtError(f"request must be a JSON object, got {type(record).__name__}")

@@ -21,16 +21,18 @@ To decide ``p == q``:
    breadth-first product walk that yields a *shortest* distinguishing word
    (:func:`repro.core.kernels.flat_compare`).
 
-Everything is memoized in the checker's :class:`repro.engine.cache.EngineCaches`
-bundle — conjunction-oracle calls, predicate satisfiability, per-pair
-normal-form verdicts, per-action-pair comparison verdicts and compiled
-automata — which an :class:`~repro.engine.session.EngineSession` shares across
-queries (a bare checker builds a private one).
+The checker works on normal forms only: :class:`repro.core.kmt.KMT` owns
+normalization and every term-level entry point, and hands this checker the
+normal forms.  Everything here is memoized in the
+:class:`repro.engine.cache.EngineCaches` bundle the facade passes in —
+conjunction-oracle calls, predicate satisfiability, per-pair normal-form
+verdicts, per-action-pair comparison verdicts and compiled automata (a bare
+checker builds a private one).
 
-The same machinery powers :meth:`EquivalenceChecker.check_inclusion` (``p <=
-q`` decided per signature by product emptiness, with a shortest word in
-``L(left) \\ L(right)`` as witness), :meth:`EquivalenceChecker.member_nf` (is
-a word of primitive actions an action sequence of some summand with a
+The same machinery powers :meth:`EquivalenceChecker.check_inclusion_nf`
+(``p <= q`` decided per signature by product emptiness, with a shortest word
+in ``L(left) \\ L(right)`` as witness), :meth:`EquivalenceChecker.member_nf`
+(is a word of primitive actions an action sequence of some summand with a
 satisfiable guard) and :meth:`EquivalenceChecker.is_empty_nf`.
 
 The paper's explicit-cell, derivative-based procedure is kept as the
@@ -43,7 +45,6 @@ from __future__ import annotations
 from repro.core import terms as T
 from repro.core.compile import compile_automaton
 from repro.core.kernels import accepts_batch, flat_compare, flat_includes
-from repro.core.pushback import DEFAULT_BUDGET, Normalizer
 from repro.smt.dpll import SignatureSearchStats, enumerate_signatures
 from repro.utils.trace import current_trace
 
@@ -209,44 +210,27 @@ class InclusionResult(_FrozenResult):
 
 
 class EquivalenceChecker:
-    """Decides equivalence, ordering, membership and emptiness of KMT terms
-    for one theory.
+    """Decides equivalence, inclusion, membership and emptiness of normal
+    forms for one theory.
 
     ``caches`` is the engine-layer bundle of bounded LRU memo tables
     (:class:`repro.engine.cache.EngineCaches`): conjunction-oracle calls,
     predicate satisfiability, normal-form verdicts, per-action-pair
-    comparison verdicts and compiled automata.  Sessions pass theirs in so
-    every query shares it; without one the checker builds a private bundle.
+    comparison verdicts and compiled automata.  The :class:`~repro.core.kmt.KMT`
+    facade passes its own in; without one the checker builds a private bundle.
     ``states_compiled`` counts the raw derivative states explored by this
     checker's compilations (cache hits compile nothing).
     """
 
-    def __init__(self, theory, budget=DEFAULT_BUDGET, caches=None):
+    def __init__(self, theory, caches=None):
         self.theory = theory
-        self.budget = budget
         # A bundle is always truthy (EngineCaches defines no __len__).
         self.caches = caches or _private_caches()
         self.states_compiled = 0
 
     # ------------------------------------------------------------------
-    # normalization helpers
-    # ------------------------------------------------------------------
-    def normalize(self, term):
-        return Normalizer(self.theory, budget=self.budget).normalize(term)
-
-    # ------------------------------------------------------------------
     # equivalence
     # ------------------------------------------------------------------
-    def equivalent(self, p, q):
-        """True iff ``p == q`` in the derived equational theory."""
-        return self.check_equivalent(p, q).equivalent
-
-    def check_equivalent(self, p, q):
-        """Like :meth:`equivalent` but returns a full :class:`EquivalenceResult`."""
-        x = self.normalize(p)
-        y = self.normalize(q)
-        return self.check_equivalent_nf(x, y)
-
     def check_equivalent_nf(self, x, y, cancel=None):
         """Compare two already-normalized terms.
 
@@ -273,14 +257,6 @@ class EquivalenceChecker:
     # ------------------------------------------------------------------
     # inclusion
     # ------------------------------------------------------------------
-    def includes(self, p, q):
-        """True iff ``p <= q`` (every behaviour of ``p`` is one of ``q``)."""
-        return self.check_inclusion(p, q).includes
-
-    def check_inclusion(self, p, q):
-        """Like :meth:`includes` but returns a full :class:`InclusionResult`."""
-        return self.check_inclusion_nf(self.normalize(p), self.normalize(q))
-
     def check_inclusion_nf(self, x, y, cancel=None):
         """Decide per-signature language containment of two normal forms.
 
@@ -289,8 +265,8 @@ class EquivalenceChecker:
         enabled on the right (``p + q == q`` holds exactly then), so the same
         signature search as equivalence applies, with product emptiness
         (:func:`~repro.core.kernels.flat_includes`) as the per-signature
-        comparison.  Unlike :meth:`less_or_equal` this needs no
-        re-normalization of ``p + q``, and a failure carries a shortest
+        comparison.  Unlike deciding ``p + q == q`` this needs no
+        normalization of ``p + q``, and a failure carries a shortest
         witness word in ``L(left) \\ L(right)``.
         """
         # Inclusion verdicts share the equivalence LRU under a tagged key (it
@@ -407,23 +383,13 @@ class EquivalenceChecker:
         return _MemoizedComparison(run, self.caches.sig, lambda l, r: (l, r), symmetric=True)
 
     # ------------------------------------------------------------------
-    # derived queries
+    # emptiness and classing
     # ------------------------------------------------------------------
-    def less_or_equal(self, p, q):
-        """``p <= q`` in the natural order, i.e. ``p + q == q``."""
-        return self.equivalent(T.tplus(p, q), q)
-
-    def is_empty(self, p):
-        """True iff ``p`` denotes no traces at all (``p == 0``).
+    def is_empty_nf(self, x, cancel=None):
+        """True iff the normal form ``x`` denotes no traces at all (``x == 0``).
 
         A normal form is empty iff every summand is ruled out: either its test
         is unsatisfiable or its restricted action denotes the empty language.
-        """
-        return self.is_empty_nf(self.normalize(p))
-
-    def is_empty_nf(self, x, cancel=None):
-        """Emptiness of an already-normalized term (see :meth:`is_empty`).
-
         An action's emptiness is a field read on its cached automaton (no
         accepting bit set).  ``cancel`` cooperatively aborts compilation (a
         deadline must be able to interrupt the derivative BFS on a large
@@ -440,16 +406,12 @@ class EquivalenceChecker:
             test, lambda: self.theory.satisfiable(test)
         )
 
-    def partition(self, terms):
-        """Partition a list of terms into equivalence classes.
-
-        Mirrors the paper's command-line tool.  Returns a list of lists of
-        indices into ``terms``.
-        """
-        return self.partition_nfs([self.normalize(term) for term in terms])
-
     def partition_nfs(self, nfs):
-        """Greedy classing of already-normalized terms (see :meth:`partition`)."""
+        """Partition normal forms into equivalence classes (lists of indices).
+
+        Mirrors the paper's command-line tool (greedy classing against one
+        representative per class).
+        """
         classes = []  # list of (representative normal form, [indices])
         for idx, nf in enumerate(nfs):
             placed = False

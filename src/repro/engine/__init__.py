@@ -1,19 +1,18 @@
-"""The query engine: a persistent, reusable layer over the one-shot core.
+"""The query engine: batching, serving and snapshots over the ``KMT`` facade.
 
-The core (:mod:`repro.core`) faithfully reproduces the paper's pipeline —
-``KMT`` facade → ``Normalizer`` → ``EquivalenceChecker`` — but every query
-re-normalizes and re-derives automata from scratch.  The engine amortizes
-that work across queries:
+The core (:mod:`repro.core`) reproduces the paper's pipeline —
+``Normalizer`` → ``EquivalenceChecker`` — behind one
+:class:`~repro.core.kmt.KMT` facade that owns the memo tables, the
+persistent normalizer and every query entry point.  The engine keeps such
+facades alive and feeds them requests:
 
 * :mod:`repro.engine.cache` — bounded, thread-safe LRU memo tables with
   hit/miss accounting, bundled per concern (normalization, derivatives,
   satisfiability, equivalence verdicts) and keyed on the hash-consed terms,
   predicates and normal forms themselves;
-* :mod:`repro.engine.session` — :class:`EngineSession`, a long-lived wrapper
-  around :class:`~repro.core.kmt.KMT` that threads the caches through the
-  normalizer, the signature search and the automata module, and
-  :class:`ShardedSessionPool`, which keeps one session per
-  ``(theory, stripe)``;
+* :mod:`repro.engine.session` — :class:`ShardedSessionPool`, which keeps one
+  long-lived ``KMT`` per ``(theory, stripe)``, and ``EngineSession``, the
+  engine's name for :class:`~repro.core.kmt.KMT`;
 * :mod:`repro.engine.batch` — the JSONL protocol: request classification,
   stable error codes, and execution of one query record on a session;
 * :mod:`repro.engine.server` — the one scheduler every query goes through:

@@ -69,6 +69,9 @@ ERROR_SHUTDOWN = "shutting_down"
 ERROR_WORKER_CRASHED = "worker_crashed"
 ERROR_SNAPSHOT_INVALID = "snapshot_invalid"
 ERROR_INTERNAL = "internal_error"
+# A request nested deeper than the interpreter's recursion limit allows
+# (parenthesized terms, long programs): rejected, and the session stays usable.
+ERROR_INPUT_TOO_DEEP = "input_too_deep"
 # Cluster-router codes (see repro.engine.router): a request whose backend —
 # and every retry replica — is unreachable answers ``backend_down``; a client
 # over its token-bucket budget is refused with ``rate_limited``.
@@ -95,7 +98,8 @@ def parse_request_line(raw):
         return "skip", None
     try:
         record = json.loads(line)
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
+        # json.loads raises RecursionError on deeply nested arrays/objects.
         return "error", (f"malformed request: {error}", ERROR_MALFORMED, {})
     if not isinstance(record, dict):
         return "error", ("malformed request: record must be a JSON object", ERROR_MALFORMED, {})
@@ -121,6 +125,8 @@ def classify_query_error(error):
         return str(error), ERROR_DEADLINE
     if isinstance(error, ParseError):
         return str(error), ERROR_PARSE
+    if isinstance(error, RecursionError):
+        return f"input nested too deeply: {error}", ERROR_INPUT_TOO_DEEP
     return str(error), ERROR_INVALID
 
 

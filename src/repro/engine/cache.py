@@ -5,9 +5,9 @@ threads, and the derivative table is shared process-wide)
 and exposes :class:`CacheStats` so callers can verify that repeated work is
 actually being reused — the acceptance criterion for the batch front end.
 
-:class:`EngineCaches` bundles one table per concern.  The bundle is what the
-engine passes down into the core (``KMT(caches=...)``); a checker built
-without one creates a private bundle.
+:class:`EngineCaches` bundles one table per concern.  Each
+:class:`~repro.core.kmt.KMT` owns one (or takes one via
+``KMT(caches=...)``); a checker built without one creates a private bundle.
 """
 
 from __future__ import annotations
@@ -203,10 +203,10 @@ class LRUCache:
 
 #: Process-wide memo for Brzozowski derivatives.  Derivatives are pure
 #: functions of hash-consed (theory-independent) restricted actions, so one
-#: shared table serves every session and theory; sessions holding the shared
-#: bundle install it into :mod:`repro.core.automata` on construction (a
-#: session built with a custom ``caches=`` bundle keeps its table private —
-#: auto-installing it would hijack every other session's derivative caching).
+#: shared table serves every facade and theory; a ``KMT`` holding the shared
+#: bundle installs it into :mod:`repro.core.automata` on construction (one
+#: built with a custom ``caches=`` bundle keeps its table private —
+#: auto-installing it would hijack every other facade's derivative caching).
 DERIVATIVE_CACHE = LRUCache(maxsize=65536, name="deriv")
 
 
@@ -231,7 +231,7 @@ def installed_derivative_stats():
 
 
 class EngineCaches:
-    """The per-session bundle of memo tables the engine threads into the core.
+    """The bundle of memo tables one :class:`~repro.core.kmt.KMT` owns.
 
     Every table is keyed on the nodes themselves.  Terms and predicates are
     hash consed, and their equality and hashing are structural, so a key

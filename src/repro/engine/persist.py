@@ -35,7 +35,7 @@ process.  This module makes that warmth durable:
 
 The higher layers thread this through everything:
 ``EngineCaches.export_state/import_state`` (:mod:`repro.engine.cache`) →
-``EngineSession.export_state/import_state`` (:mod:`repro.engine.session`) →
+``KMT.export_state/import_state`` (:mod:`repro.core.kmt`) →
 ``ShardedSessionPool.export_snapshot/import_snapshot``
 (:mod:`repro.engine.session`) → ``kmt serve
 --snapshot PATH --checkpoint-interval SECS`` (:mod:`repro.cli`), and the
@@ -55,6 +55,7 @@ import threading
 import time
 from array import array
 
+from repro.core import parser
 from repro.core import terms as T
 from repro.core.compile import CompiledAutomaton
 from repro.core.decision import Counterexample, EquivalenceResult, InclusionResult
@@ -88,18 +89,16 @@ def _invalid(message):
 class SnapshotCodec:
     """Serialize one session's cache entries to JSON-safe values and back.
 
-    Built around a live :class:`~repro.engine.session.EngineSession`: decoding
-    needs the session's parser (terms come back as source text) and its
-    theory (primitive actions/tests are reconstructed through the theory's
-    concrete syntax).  Encoding failures raise :class:`SnapshotError`; the
-    export path treats them as "skip this entry" (a snapshot is best-effort
-    warmth transfer), while the import path treats any decode failure as
-    fatal for the whole snapshot (atomic rejection, no partial load).
+    Built around one session's theory: decoding reconstructs primitive
+    actions/tests (and While programs) through the theory's concrete
+    syntax.  Encoding failures raise :class:`SnapshotError`; the export path
+    treats them as "skip this entry" (a snapshot is best-effort warmth
+    transfer), while the import path treats any decode failure as fatal for
+    the whole snapshot (atomic rejection, no partial load).
     """
 
-    def __init__(self, session):
-        self.session = session
-        self.theory = session.theory
+    def __init__(self, theory):
+        self.theory = theory
         #: Encoder side: the node pool this codec is writing (attached to the
         #: session state as ``"pool"``) and the live-node → index memo.
         self.pool = []
@@ -244,16 +243,16 @@ class SnapshotCodec:
         self._nodes = nodes
         return len(nodes)
 
-    # Leaves go through the uncached ``session.kmt`` parser: staging must not
-    # write into the session's ``source`` table, or a snapshot rejected after
-    # staging would still have touched a cache.
+    # Leaves go through the parser module, not the session's memoized
+    # ``parse``: staging must not write into the session's ``source`` table,
+    # or a snapshot rejected after staging would still have touched a cache.
     def _parse_leaf_term(self, src, memo):
         if not isinstance(src, str):
             _invalid(f"snapshot primitive action source must be a string, got {src!r}")
         node = memo.get(src)
         if node is None:
             try:
-                node = self.session.kmt.parse(src)
+                node = parser.parse_term(src, self.theory)
             except KmtError as error:
                 _invalid(f"snapshot primitive action {src!r} failed to re-parse: {error}")
             if not isinstance(node, T.TPrim):
@@ -267,7 +266,7 @@ class SnapshotCodec:
         node = memo.get(src)
         if node is None:
             try:
-                node = self.session.kmt.parse_pred(src)
+                node = parser.parse_pred(src, self.theory)
             except KmtError as error:
                 _invalid(f"snapshot primitive test {src!r} failed to re-parse: {error}")
             if not isinstance(node, T.PPrim):
@@ -510,7 +509,7 @@ def export_session_state(session):
     not round-trip through the parser) are skipped individually — export is
     best-effort warmth transfer, never a failure mode for a running server.
     """
-    codec = SnapshotCodec(session)
+    codec = SnapshotCodec(session.theory)
     trace = current_trace()
     if trace is None:
         state = session.caches.export_state(codec)
@@ -541,7 +540,7 @@ def stage_session_state(session, state):
             f"snapshot theory stamp {stamp!r} does not match the live theory "
             f"{live!r} (foreign or stale snapshot)"
         )
-    codec = SnapshotCodec(session)
+    codec = SnapshotCodec(session.theory)
     try:
         codec.load_pool(state.get("pool"))
         return session.caches.stage_state(state, codec)

@@ -196,7 +196,7 @@ def execute_record(pool, record, default_theory, fallback_id, cancel=None,
             base["result"], trace_payload = run_query(session, record, cancel=cancel)
             if trace_payload is not None:
                 base["trace"] = trace_payload
-    except (KmtError, KeyError, TypeError, ValueError) as error:
+    except (KmtError, KeyError, TypeError, ValueError, RecursionError) as error:
         message, code = classify_query_error(error)
         return error_response(record, fallback_id, theory, message, code)
     return base

@@ -158,7 +158,7 @@ class TestAutCache:
     def test_warm_session_reuses_compiled_automata(self):
         session = EngineSession(IncNatTheory(variables=("x", "y")))
         session.check_equivalent("(inc(x))*; x > 1", "(inc(x))*; (inc(x))*; x > 1")
-        compiled_cold = session.kmt.checker.states_compiled
+        compiled_cold = session.checker.states_compiled
         assert compiled_cold > 0
         assert session.caches.aut.stats.puts > 0
         # A different query over the same restricted sums: the equivalence
@@ -167,7 +167,7 @@ class TestAutCache:
         session.caches.equiv.clear()
         session.caches.sig.clear()
         session.check_equivalent("(inc(x))*; x > 1", "(inc(x))*; (inc(x))*; x > 1")
-        assert session.kmt.checker.states_compiled == compiled_cold
+        assert session.checker.states_compiled == compiled_cold
         assert session.caches.aut.stats.hits > 0
 
     def test_inclusion_and_member_share_the_aut_cache(self):
@@ -175,9 +175,9 @@ class TestAutCache:
         session.check_inclusion("inc(x)", "(inc(x))*")
         hits_before = session.caches.aut.stats.hits
         # Membership compiles the same normal-form actions: all cache hits.
-        compiled_before = session.kmt.checker.states_compiled
+        compiled_before = session.checker.states_compiled
         assert session.member("(inc(x))*", ["inc(x)", "inc(x)"])
-        assert session.kmt.checker.states_compiled == compiled_before
+        assert session.checker.states_compiled == compiled_before
         assert session.caches.aut.stats.hits > hits_before
 
     def test_states_compiled_in_session_stats(self):
@@ -192,14 +192,14 @@ class TestAutCache:
         session = EngineSession(IncNatTheory(variables=("x",)))
         result = session.check_equivalent("inc(x)", "inc(x)")
         assert result.equivalent
-        assert session.kmt.checker.states_compiled == 0
+        assert session.checker.states_compiled == 0
         assert session.caches.aut.stats.lookups == 0
 
     def test_private_checker_memo_without_caches(self):
         """A bare checker (no engine bundle) still memoizes compilations."""
         checker = EquivalenceChecker(IncNatTheory(variables=("x",)))
         kmt = KMT(IncNatTheory(variables=("x",)))
-        nf = kmt.checker.normalize(kmt.parse("(inc(x))*"))
+        nf = kmt.normalize("(inc(x))*")
         checker.member_nf(nf, (Incr("x"),))
         compiled = checker.states_compiled
         checker.member_nf(nf, (Incr("x"), Incr("x")))
@@ -473,7 +473,7 @@ def _run_differential(theory_builder, seed, pairs):
     rng = random.Random(seed)
     # The production checker and the reference oracle, each with its own
     # theory instance (no shared memo leakage).
-    production = EquivalenceChecker(build(), budget=60_000)
+    production = KMT(build(), budget=60_000)
     oracle = OracleChecker(build(), budget=60_000)
     witness_theory = build()
     compared = inequivalent = equivalent = attempts = 0
@@ -488,24 +488,24 @@ def _run_differential(theory_builder, seed, pairs):
             x, y = production.normalize(p), production.normalize(q)
         except KmtError:
             continue  # pushback budget blow-ups are exercised elsewhere
-        result = production.check_equivalent_nf(x, y)
+        result = production.checker.check_equivalent_nf(x, y)
         reference = oracle.check_equivalent_nf(x, y)
         assert result.equivalent == reference.equivalent, f"verdict mismatch on {p!r} vs {q!r}"
         # Inclusion: the compiled product-emptiness op, the equivalence
         # reduction p <= q iff p + q == q, and the oracle must all agree.
-        incl = production.check_inclusion_nf(x, y)
+        incl = production.checker.check_inclusion_nf(x, y)
         assert incl.includes == oracle.check_inclusion_nf(x, y).includes
         assert incl.includes == production.equivalent(T.tplus(p, q), q)
         if not incl.includes:
             _assert_valid_counterexample(witness_theory, incl, negate=True)
-        assert production.is_empty_nf(x) == oracle.is_empty_nf(x)
+        assert production.checker.is_empty_nf(x) == oracle.is_empty_nf(x)
         if not result.equivalent:
             inequivalent += 1
             _assert_valid_counterexample(witness_theory, result)
             _assert_valid_counterexample(witness_theory, reference)
             word = result.counterexample.word
             for nf in (x, y):
-                assert production.member_nf(nf, word) == oracle.member_nf(nf, word)
+                assert production.checker.member_nf(nf, word) == oracle.member_nf(nf, word)
         else:
             equivalent += 1
             # Equivalence implies mutual inclusion.

@@ -220,7 +220,7 @@ def _equivalent_variant(rng, p, other, leaf):
 def _run_differential(theory_builder, seed, pairs=DIFFERENTIAL_PAIRS_PER_THEORY):
     theory, pred_leaf, action_leaf = theory_builder()
     rng = random.Random(seed)
-    signature = EquivalenceChecker(theory, budget=60_000)
+    signature = KMT(theory, budget=60_000)
     enumerate_ = OracleChecker(theory, budget=60_000)
     compared = 0
     inequivalent = 0

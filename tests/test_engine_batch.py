@@ -423,13 +423,13 @@ class TestHostileInput:
 
     DEEP = "(" * 3000 + "inc(x)" + ")" * 3000
 
-    def test_deep_input_answers_internal_error_and_batch_continues(self):
+    def test_deep_input_answers_input_too_deep_and_batch_continues(self):
         responses, _ = run_batch_lines([
             record(op="equiv", id="deep", left=self.DEEP, right="inc(x)"),
             record(op="equiv", id="ok", left="inc(x); x > 1", right="x > 0; inc(x)"),
         ])
         assert [r["id"] for r in responses] == ["deep", "ok"]
         assert responses[0]["ok"] is False
-        assert responses[0]["error_code"] == "internal_error"
+        assert responses[0]["error_code"] == "input_too_deep"
         assert responses[1]["ok"] is True
         assert responses[1]["result"]["equivalent"] is True

@@ -533,18 +533,21 @@ class TestStreamedBatchInput:
 
 
 class TestProcessWorkerInternalError:
-    """A request that crashes inside a worker process (here: the interpreter
-    stack on 3000 nested parens) used to come back with id 0, not the
-    client's id."""
+    """A request that crashes inside a worker process used to come back with
+    id 0, not the client's id.  The crash here is an oracle raising an error
+    no query path classifies: ``time.sleep(inf)`` in the latency wrapper
+    raises ``OverflowError``."""
 
-    def test_internal_error_keeps_the_client_id(self):
-        deep = "(" * 3000 + "inc(x)" + ")" * 3000
+    def test_internal_error_keeps_the_client_id(self, monkeypatch):
+        monkeypatch.setenv("KMT_TEST_ORACLE_DELAY_MS", "inf")
+        monkeypatch.setenv("KMT_TEST_ORACLE_THEORIES", "bitvec")
         stdin = io.StringIO("\n".join([
-            record(op="equiv", id="a", left=deep, right="inc(x)"),
+            record(op="sat", id="a", theory="bitvec", pred="a = T"),
             record(op="sat", id="b", pred="x > 1"),
         ]) + "\n")
         stdout = io.StringIO()
-        serve_stdio(stdin, stdout, ordered=True, workers=1, backend="process")
+        serve_stdio(stdin, stdout, ordered=True, workers=1, backend="process",
+                    theory_factory_spec="repro.engine.testing:oracle_latency_factory")
         replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
         assert [(r["id"], r["ok"], r.get("error_code")) for r in replies] == [
             ("a", False, "internal_error"),

@@ -322,7 +322,7 @@ class TestArena:
     def test_aut_bytes_is_the_sum_over_the_aut_table(self):
         session = EngineSession(IncNatTheory(variables=("x", "y")),
                                 caches=EngineCaches(aut_size=1))
-        compile_cached = session.kmt.checker._compile_cached
+        compile_cached = session.checker._compile_cached
 
         def reported():
             stats = session.stats()
@@ -408,10 +408,10 @@ class TestMemberMany:
     def test_member_many_reuses_the_aut_cache(self):
         session = EngineSession(IncNatTheory(variables=("x", "y")))
         session.member_many(_MEMBER_TERM, _MEMBER_WORDS)
-        compiled = session.kmt.checker.states_compiled
+        compiled = session.checker.states_compiled
         assert compiled > 0
         session.member_many(_MEMBER_TERM, [["inc(y)"], ["inc(x)"]])
-        assert session.kmt.checker.states_compiled == compiled
+        assert session.checker.states_compiled == compiled
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +457,7 @@ class TestWalkKernelPlumbing:
         session = pool.session("incnat")
         assert session is pool.session("incnat", 0)
         assert session.budget == 1234
-        assert session.kmt.checker.caches is session.caches
+        assert session.checker.caches is session.caches
         assert run_batch_lines([])[1].stripes == 1
 
     def test_cli_walk_kernel_flag(self, capsys):

@@ -318,13 +318,18 @@ class TestServerObservability:
         assert slow[0]["queue_ms"] >= 0.0
         assert slow[0]["total_ms"] >= slow[0]["exec_ms"] - 0.001
 
-    def test_internal_error_is_logged(self, backend, tmp_path, quiet_logging):
+    def test_internal_error_is_logged(self, backend, tmp_path, quiet_logging,
+                                      monkeypatch):
         path = tmp_path / "errors.jsonl"
         configure_logging(level="error", log_file=str(path))
-        deep = "(" * 3000 + "inc(x)" + ")" * 3000
+        # An oracle failing with an error no query path classifies:
+        # time.sleep(inf) in the latency wrapper raises OverflowError.
+        monkeypatch.setenv("KMT_TEST_ORACLE_DELAY_MS", "inf")
         stdout = io.StringIO()
-        serve_stdio(io.StringIO(record(op="equiv", id="a", left=deep, right="inc(x)") + "\n"),
-                    stdout, workers=1, backend=backend)
+        serve_stdio(io.StringIO(record(op="equiv", id="a", left="x > 1; inc(x)",
+                                       right="inc(x)") + "\n"),
+                    stdout, workers=1, backend=backend,
+                    theory_factory_spec="repro.engine.testing:oracle_latency_factory")
         (response,) = _responses(stdout)
         assert response["error_code"] == "internal_error"
         events = [json.loads(line) for line in path.read_text().splitlines()]
@@ -333,7 +338,7 @@ class TestServerObservability:
         assert errors[0]["request_id"] == "a"
         assert errors[0]["op"] == "equiv"
         assert errors[0]["theory"] == "incnat"
-        assert "RecursionError" in errors[0]["error"]
+        assert "OverflowError" in errors[0]["error"]
 
 
 class TestCountedBeforeWritten:

@@ -120,8 +120,9 @@ def test_production_matches_oracle(name, data):
         star = T.tstar(T.tprim(data.draw(st.sampled_from(actions), label="a")))
         p, q = T.tseq(star, p), T.tplus(p, T.tseq(star.arg, T.tseq(star, p)))
     checker = kmt.checker
+    cold = KMT(kmt.theory, budget=BUDGET)
     try:
-        x, y = checker.normalize(p), checker.normalize(q)
+        x, y = cold.normalize(p), cold.normalize(q)
     except KmtError:
         assume(False)  # pushback budget blow-ups are exercised elsewhere
 
