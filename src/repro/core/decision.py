@@ -402,9 +402,12 @@ class EquivalenceChecker:
         return True
 
     def _satisfiable_pred(self, test):
-        return self.caches.sat_pred.get_or_compute(
-            test, lambda: self.theory.satisfiable(test)
-        )
+        memo = self.caches.sat_pred
+        value = memo.get(test, _CACHE_MISS)
+        if value is _CACHE_MISS:
+            value = self.theory.satisfiable(test)
+            memo.put(test, value)
+        return value
 
     def partition_nfs(self, nfs):
         """Partition normal forms into equivalence classes (lists of indices).

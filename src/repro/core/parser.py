@@ -4,6 +4,7 @@ The core grammar knows only the regular/Boolean structure::
 
     expr   ::= seq ('+' seq)*
     seq    ::= star (';' star)*
+    choice ::= star ('+' star)*          a While statement's test or action
     star   ::= atom '*'*
     atom   ::= '(' expr ')'
              | 'true' | 'false' | 'skip' | 'drop' | '1' | '0'
@@ -21,6 +22,10 @@ Everything domain specific is delegated to the client theory:
   phrase (a maximal run of non-structural tokens, with balanced parentheses
   and brackets kept inside) and returns one of ``("test", alpha)``,
   ``("action", pi)``, ``("pred", Pred)`` or ``("term", Term)``.
+
+The While-program parser (:mod:`repro.lang.while_lang`) subclasses
+:class:`Parser`, so statements and the tests and actions inside them are read
+from one token list with one cursor.
 """
 
 from __future__ import annotations
@@ -45,8 +50,9 @@ RESERVED_WORDS = frozenset(
     {"if", "then", "else", "while", "do", "end", "not", "true", "false", "skip", "drop", "abort"}
 )
 
-#: Symbols that terminate a theory phrase (at bracket depth zero).
-_PHRASE_BOUNDARY_SYMS = frozenset({";", "+", "*", ")", ","})
+#: Symbols that terminate a theory phrase (at bracket depth zero).  The
+#: braces delimit While-program blocks; no shipped theory uses them.
+_PHRASE_BOUNDARY_SYMS = frozenset({";", "+", "*", ")", ",", "{", "}"})
 
 #: What the grammar allows at the start of an ``atom`` (see the module
 #: docstring and docs/GRAMMAR.md); rendered into "expected one of …"
@@ -109,6 +115,9 @@ class Parser:
         self.tokens = tokenize(text)
         self.index = 0
         self.keywords = dict(theory.parser_keywords())
+        # How many ``expr``s are open; outside every one (a While statement's
+        # ``choice``) a bare ';' ends the statement instead of sequencing.
+        self._open_exprs = 0
 
     # ------------------------------------------------------------------
     # token plumbing
@@ -146,6 +155,11 @@ class Parser:
     def at_end(self):
         return self.peek().kind == "end"
 
+    def consumed_end(self):
+        """The source offset just past the last consumed token."""
+        token = self.tokens[self.index - 1]
+        return token.pos + len(token.value)
+
     # ------------------------------------------------------------------
     # entry points
     # ------------------------------------------------------------------
@@ -161,25 +175,58 @@ class Parser:
     def parse_pred(self):
         term = self.parse_term()
         pred = T.pred_of_term(term)
+        if pred is not None:
+            return pred
+        # Re-read the input operand by operand to point at the first action
+        # (the check needs the whole term: ``inc(x); 0`` denotes the test 0).
+        self.index, self._open_exprs = 0, 1
+        start = self.peek()
+        while T.pred_of_term(self.parse_star()) is not None and not self.at_end():
+            self.advance()  # the ';' or '+' between two operands
+            start = self.peek()
+        message = f"expected a test, got action {term.pretty()}"
+        if start is self.tokens[0] and self.at_end():
+            # The input is one action as a whole: nothing narrower to point at.
+            raise ParseError(message)
+        raise ParseError(message, start.pos, self.text)
+
+    def expect_test(self, start, term):
+        """The predicate ``term`` denotes; an action is rejected at ``start``.
+
+        ``start`` is the first token of the operand ``term`` was parsed from,
+        so the diagnostic points at the offending operand.
+        """
+        pred = T.pred_of_term(term)
         if pred is None:
-            raise ParseError(f"expected a predicate but parsed an action: {term.pretty()}")
+            raise ParseError(f"expected a test, got action {term.pretty()}",
+                             start.pos, self.text)
         return pred
 
     # ------------------------------------------------------------------
     # grammar
     # ------------------------------------------------------------------
     def parse_expr(self):
+        self._open_exprs += 1
         term = self.parse_seq()
         while self.at_sym("+"):
             self.advance()
             term = T.tplus(term, self.parse_seq())
+        self._open_exprs -= 1
         return term
 
     def parse_seq(self):
         term = self.parse_star()
-        while self.at_sym(";"):
+        while self._open_exprs and self.at_sym(";"):
             self.advance()
             term = T.tseq(term, self.parse_star())
+        return term
+
+    def parse_choice(self):
+        """A While statement's test or action: a bare ``;`` ends it."""
+        term = self.parse_star()
+        while self.at_sym("+"):
+            self.advance()
+            term = T.tplus(term, self.parse_star())
         return term
 
     def parse_star(self):
@@ -196,12 +243,11 @@ class Parser:
             inner = self.parse_expr()
             self.expect_sym(")")
             return inner
-        if token.kind == "sym" and token.value in ("~", "!"):
+        if ((token.kind == "sym" and token.value in ("~", "!"))
+                or (token.kind == "word" and token.value == "not")):
             self.advance()
-            return self._negate(self.parse_atom())
-        if token.kind == "word" and token.value == "not":
-            self.advance()
-            return self._negate(self.parse_atom())
+            operand = self.peek()
+            return T.ttest(T.pnot(self.expect_test(operand, self.parse_atom())))
         if token.kind == "num" and token.value in ("0", "1") and self._standalone_number():
             self.advance()
             return T.tone() if token.value == "1" else T.tzero()
@@ -226,50 +272,40 @@ class Parser:
     def _standalone_number(self):
         """True iff the upcoming number is not the start of a theory phrase."""
         nxt = self.tokens[self.index + 1]
-        if nxt.kind in ("end",):
-            return True
-        if nxt.kind == "sym" and nxt.value in _PHRASE_BOUNDARY_SYMS:
-            return True
-        if nxt.kind == "sym" and nxt.value == "+":
-            return True
-        return False
+        return nxt.kind == "end" or (nxt.kind == "sym" and nxt.value in _PHRASE_BOUNDARY_SYMS)
 
-    def _negate(self, term):
-        pred = T.pred_of_term(term)
-        if pred is None:
-            raise ParseError(f"negation applies to tests only, got action {term.pretty()}")
-        return T.ttest(T.pnot(pred))
+    def _parse_cond(self):
+        """``'(' expr ')'`` after ``if``/``while``: the test and its span.
+
+        The span is the half-open source range of the test inside the
+        parentheses (the While frontend records it as ``cond_span``).
+        """
+        self.expect_sym("(")
+        start = self.peek()
+        term = self.parse_expr()
+        span = (start.pos, self.consumed_end())
+        if not self.at_sym(")"):
+            raise ParseError("unterminated '('", self.peek().pos, self.text,
+                             expected=("')'",))
+        self.advance()
+        return self.expect_test(start, term), span
 
     def _parse_if(self):
         self.expect_word("if")
-        self.expect_sym("(")
-        cond_term = self.parse_expr()
-        self.expect_sym(")")
-        cond = T.pred_of_term(cond_term)
-        if cond is None:
-            raise ParseError("the condition of an 'if' must be a test")
+        cond, _ = self._parse_cond()
         self.expect_word("then")
         then_branch = self.parse_seq()
         self.expect_word("else")
-        else_branch = self.parse_seq()
-        return T.tplus(
-            T.tseq(T.ttest(cond), then_branch),
-            T.tseq(T.ttest(T.pnot(cond)), else_branch),
-        )
+        return T.tif(cond, then_branch, self.parse_seq())
 
     def _parse_while(self):
         self.expect_word("while")
-        self.expect_sym("(")
-        cond_term = self.parse_expr()
-        self.expect_sym(")")
-        cond = T.pred_of_term(cond_term)
-        if cond is None:
-            raise ParseError("the condition of a 'while' must be a test")
+        cond, _ = self._parse_cond()
         self.expect_word("do")
         body = self.parse_seq()
         if self.at_word("end"):
             self.advance()
-        return T.tseq(T.tstar(T.tseq(T.ttest(cond), body)), T.ttest(T.pnot(cond)))
+        return T.twhile(cond, body)
 
     # ------------------------------------------------------------------
     # theory phrases

@@ -583,6 +583,16 @@ def tseq_all(terms):
     return result
 
 
+def tif(cond, then_branch, else_branch):
+    """``if b then p else q`` as the KAT term ``b;p + ~b;q`` (paper Section 1.1)."""
+    return tplus(tseq(ttest(cond), then_branch), tseq(ttest(pnot(cond)), else_branch))
+
+
+def twhile(cond, body):
+    """``while b do p`` as the KAT term ``(b;p)*;~b`` (paper Section 1.1)."""
+    return tseq(tstar(tseq(ttest(cond), body)), ttest(pnot(cond)))
+
+
 # ---------------------------------------------------------------------------
 # queries over terms
 # ---------------------------------------------------------------------------

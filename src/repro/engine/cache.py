@@ -61,16 +61,6 @@ class CacheStats:
         return f"CacheStats({self.as_dict()})"
 
 
-class _InFlight:
-    """One in-progress ``get_or_compute`` computation (single-flight state)."""
-
-    __slots__ = ("event", "value")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.value = _MISS
-
-
 class LRUCache:
     """A bounded least-recently-used map with ``get``/``put`` and stats.
 
@@ -85,7 +75,6 @@ class LRUCache:
         self.stats = CacheStats(name)
         self._data = OrderedDict()
         self._lock = threading.Lock()
-        self._inflight = {}  # key -> _InFlight (single-flight get_or_compute)
 
     def __len__(self):
         with self._lock:
@@ -110,62 +99,6 @@ class LRUCache:
             if self.maxsize is not None and len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
                 self.stats.evictions += 1
-
-    def get_or_compute(self, key, compute):
-        """Return the cached value for ``key``, computing and storing on miss.
-
-        Single-flight per key: when several threads miss the same cold key
-        concurrently, exactly one runs ``compute()`` (outside the lock — it
-        may be an expensive compile) while the rest wait on a per-key event
-        and receive the leader's value, so an expensive computation never
-        runs twice for one key.  If the leader's ``compute`` raises, the
-        exception propagates to the leader and one waiter retries (becoming
-        the new leader); the rest keep waiting on *its* flight.
-
-        Accounting: the leader records one miss + one put; each served
-        waiter records one hit.
-        """
-        while True:
-            with self._lock:
-                value = self._data.get(key, _MISS)
-                if value is not _MISS:
-                    self._data.move_to_end(key)
-                    self.stats.hits += 1
-                    return value
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _InFlight()
-                    self._inflight[key] = flight
-                    self.stats.misses += 1
-                    leader = True
-                else:
-                    leader = False
-            if not leader:
-                flight.event.wait()
-                if flight.value is not _MISS:
-                    with self._lock:
-                        self.stats.hits += 1
-                    return flight.value
-                continue  # leader failed; retry (possibly leading this time)
-            try:
-                value = compute()
-            except BaseException:
-                with self._lock:
-                    self._inflight.pop(key, None)
-                flight.event.set()
-                raise
-            with self._lock:
-                self._inflight.pop(key, None)
-                if key in self._data:
-                    self._data.move_to_end(key)
-                self._data[key] = value
-                self.stats.puts += 1
-                if self.maxsize is not None and len(self._data) > self.maxsize:
-                    self._data.popitem(last=False)
-                    self.stats.evictions += 1
-            flight.value = value
-            flight.event.set()
-            return value
 
     def stats_snapshot(self):
         """A point-in-time-consistent copy of the counters.

@@ -22,8 +22,11 @@ concrete syntax parser so the Fig. 1 programs can be written literally, e.g.::
     }
     assert j > 100;
 
-Tests and actions inside a program are parsed by the active client theory, so
-the same frontend works for all the shipped theories (and products thereof).
+The program parser extends the core term parser (:mod:`repro.core.parser`)
+on the same token stream: tests and actions inside a program are read in
+place by the core grammar, with primitive phrases delegated to the active
+client theory, so the same frontend works for all the shipped theories (and
+products thereof) and every diagnostic points into the program as written.
 """
 
 from __future__ import annotations
@@ -151,10 +154,7 @@ class If(Statement):
         self.else_branch = else_branch if else_branch is not None else Skip()
 
     def compile(self):
-        return T.tplus(
-            T.tseq(T.ttest(self.cond), self.then_branch.compile()),
-            T.tseq(T.ttest(T.pnot(self.cond)), self.else_branch.compile()),
-        )
+        return T.tif(self.cond, self.then_branch.compile(), self.else_branch.compile())
 
     def pretty(self, indent=0):
         pad = " " * indent
@@ -175,10 +175,7 @@ class While(Statement):
         self.body = body
 
     def compile(self):
-        return T.tseq(
-            T.tstar(T.tseq(T.ttest(self.cond), self.body.compile())),
-            T.ttest(T.pnot(self.cond)),
-        )
+        return T.twhile(self.cond, self.body.compile())
 
     def pretty(self, indent=0):
         pad = " " * indent
@@ -223,198 +220,65 @@ def compile_program(program):
 # ---------------------------------------------------------------------------
 
 
-class _ProgramParser:
-    """Statement-level recursive descent; tests/actions defer to the theory.
+class _ProgramParser(core_parser.Parser):
+    """The While grammar of docs/GRAMMAR.md, on the core parser's own cursor.
 
-    Tests and actions are *not* re-joined from token values: the parser
-    slices the original source between the phrase's first and last token and
-    hands that substring to the core parser, so a :class:`ParseError` from a
-    sub-parse can be re-anchored at its true offset in the whole (possibly
-    multi-line) program — line, column and caret frame all point into the
-    program the user actually wrote.
+    Statements, their tests and actions, and the ``if``/``while`` guards are
+    all read from one token list, so every :class:`ParseError` — including
+    one raised by the theory inside a test or action — carries its offset in
+    the whole (possibly multi-line) program.  A statement's test or action is
+    a ``choice``: a bare ``;`` ends the statement, and sequencing with ``;``
+    happens only inside an ``expr`` (parentheses, guards, keyword arguments).
     """
 
-    def __init__(self, theory, text):
-        self.theory = theory
-        self.text = text
-        self.tokens = core_parser.tokenize(text)
-        self.index = 0
-        self._last_end = 0  # one past the last consumed token
-
-    # -- token plumbing -----------------------------------------------------
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
-        token = self.tokens[self.index]
-        self.index += 1
-        if token.kind != "end":
-            self._last_end = token.pos + len(token.value)
-        return token
-
-    def at_end(self):
-        return self.peek().kind == "end"
-
-    def at_sym(self, sym):
-        token = self.peek()
-        return token.kind == "sym" and token.value == sym
-
-    def at_word(self, word):
-        token = self.peek()
-        return token.kind == "word" and token.value == word
-
-    def expect_sym(self, sym):
-        if not self.at_sym(sym):
-            token = self.peek()
-            found = "end of input" if token.kind == "end" else repr(token.value)
-            raise ParseError(f"found {found}", token.pos, self.text,
-                             expected=(repr(sym),))
-        return self.advance()
-
-    # -- helpers: re-parse token runs with the KMT term/test parser ------------
-    def _collect_until(self, stop_symbols):
-        """Collect tokens (balancing brackets) until a stop symbol at depth 0."""
-        depth = 0
-        collected = []
-        while True:
-            token = self.peek()
-            if token.kind == "end":
-                break
-            if token.kind == "sym":
-                if token.value in ("(", "["):
-                    depth += 1
-                elif token.value in (")", "]"):
-                    if depth == 0:
-                        break
-                    depth -= 1
-                elif depth == 0 and token.value in stop_symbols:
-                    break
-            collected.append(self.advance())
-        return collected
-
-    def _collect_balanced_parens(self):
-        """Consume a parenthesized region and return the inner tokens."""
-        self.expect_sym("(")
-        depth = 0
-        collected = []
-        while True:
-            token = self.peek()
-            if token.kind == "end":
-                raise ParseError("unterminated '('", token.pos, self.text)
-            if token.kind == "sym":
-                if token.value == "(":
-                    depth += 1
-                elif token.value == ")":
-                    if depth == 0:
-                        self.advance()
-                        break
-                    depth -= 1
-            collected.append(self.advance())
-        return collected
-
-    def _slice_source(self, tokens):
-        """The original source substring spanned by a token run + its offset."""
-        start = tokens[0].pos
-        end = tokens[-1].pos + len(tokens[-1].value)
-        return self.text[start:end], start
-
-    def _reanchor(self, error, offset):
-        """Re-render a sub-parse error against the whole program text."""
-        if error.position is None:
-            return error
-        return ParseError(error.bare_message, error.position + offset, self.text,
-                          expected=error.expected)
-
-    def _parse_pred_tokens(self, tokens):
-        if not tokens:
-            raise ParseError("expected a test", self.peek().pos, self.text)
-        snippet, offset = self._slice_source(tokens)
-        try:
-            return core_parser.parse_pred(snippet, self.theory)
-        except ParseError as error:
-            raise self._reanchor(error, offset) from None
-
-    def _parse_term_tokens(self, tokens):
-        if not tokens:
-            raise ParseError("expected an action", self.peek().pos, self.text)
-        snippet, offset = self._slice_source(tokens)
-        try:
-            return core_parser.parse_term(snippet, self.theory)
-        except ParseError as error:
-            raise self._reanchor(error, offset) from None
-
-    # -- grammar -------------------------------------------------------------
-    def parse_program(self, stop_at_brace=False):
+    def parse_statements(self):
+        """``{statement [';' {';'}]}`` up to a ``}`` or the end of input."""
         statements = []
-        while not self.at_end():
-            if stop_at_brace and self.at_sym("}"):
-                break
+        while not self.at_end() and not self.at_sym("}"):
             statements.append(self.parse_statement())
             while self.at_sym(";"):
                 self.advance()
         return Seq(statements)
 
     def parse_statement(self):
-        start = self.peek().pos
-        stmt = self._parse_statement_inner()
-        stmt.span = (start, self._last_end)
+        start = self.peek()
+        word = start.value if start.kind == "word" else None
+        if word in ("skip", "abort"):
+            self.advance()
+            stmt = Skip() if word == "skip" else Abort()
+        elif word in ("if", "while"):
+            self.advance()
+            cond, cond_span = self._parse_cond()
+            if word == "while":
+                stmt = While(cond, self._parse_block())
+            else:
+                then_branch = self._parse_block()
+                else_branch = None
+                if self.at_word("else"):
+                    self.advance()
+                    else_branch = self._parse_block()
+                stmt = If(cond, then_branch, else_branch)
+            stmt.cond_span = cond_span
+        else:
+            if word in ("assume", "assert"):
+                self.advance()
+                operand = self.peek()
+                pred = self.expect_test(operand, self.parse_choice())
+                stmt = Assume(pred) if word == "assume" else Assert(pred)
+            else:
+                stmt = ActionStmt(self.parse_choice())
+            token = self.peek()
+            if token.kind != "end" and not (token.kind == "sym" and token.value in (";", "}")):
+                raise ParseError(f"found {token.value!r} after a statement", token.pos,
+                                 self.text, expected=("';'", "'}'", "end of input"))
+        stmt.span = (start.pos, self.consumed_end())
         return stmt
-
-    def _parse_statement_inner(self):
-        if self.at_word("skip"):
-            self.advance()
-            return Skip()
-        if self.at_word("abort"):
-            self.advance()
-            return Abort()
-        if self.at_word("assume"):
-            self.advance()
-            tokens = self._collect_until({";", "{", "}"})
-            return Assume(self._parse_pred_tokens(tokens))
-        if self.at_word("assert"):
-            self.advance()
-            tokens = self._collect_until({";", "{", "}"})
-            return Assert(self._parse_pred_tokens(tokens))
-        if self.at_word("if"):
-            return self._parse_if()
-        if self.at_word("while"):
-            return self._parse_while()
-        tokens = self._collect_until({";", "{", "}"})
-        return ActionStmt(self._parse_term_tokens(tokens))
 
     def _parse_block(self):
         self.expect_sym("{")
-        block = self.parse_program(stop_at_brace=True)
+        block = self.parse_statements()
         self.expect_sym("}")
         return block
-
-    def _parse_cond(self):
-        tokens = self._collect_balanced_parens()
-        if tokens:
-            span = (tokens[0].pos, tokens[-1].pos + len(tokens[-1].value))
-        else:
-            span = (self._last_end, self._last_end)
-        return self._parse_pred_tokens(tokens), span
-
-    def _parse_if(self):
-        self.advance()  # 'if'
-        cond, cond_span = self._parse_cond()
-        then_branch = self._parse_block()
-        else_branch = None
-        if self.at_word("else"):
-            self.advance()
-            else_branch = self._parse_block()
-        stmt = If(cond, then_branch, else_branch)
-        stmt.cond_span = cond_span
-        return stmt
-
-    def _parse_while(self):
-        self.advance()  # 'while'
-        cond, cond_span = self._parse_cond()
-        body = self._parse_block()
-        stmt = While(cond, body)
-        stmt.cond_span = cond_span
-        return stmt
 
 
 def parse_program(text, theory):
@@ -425,7 +289,7 @@ def parse_program(text, theory):
     record ``cond_span``, the guard's range inside the parentheses).
     """
     parser = _ProgramParser(theory, text)
-    body = parser.parse_program()
+    body = parser.parse_statements()
     if not parser.at_end():
         token = parser.peek()
         raise ParseError(f"trailing input starting at {token.value!r}", token.pos, text,

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from repro.core import terms as T
 from repro.core.theory import Theory
-from repro.utils.errors import ParseError, TheoryError
+from repro.utils.errors import TheoryError
 
 #: How long a trace the bounded satisfiability search will consider.
 DEFAULT_TRACE_BOUND = 8
@@ -264,27 +264,24 @@ class LtlfTheory(Theory):
     def _parse_unary(self, build):
         def handler(parser):
             parser.expect_sym("(")
+            start = parser.peek()
             term = parser.parse_expr()
             parser.expect_sym(")")
-            pred = T.pred_of_term(term)
-            if pred is None:
-                raise ParseError("temporal operators apply to tests only")
-            return build(pred)
+            return build(parser.expect_test(start, term))
 
         return handler
 
     def _parse_binary(self, build):
         def handler(parser):
             parser.expect_sym("(")
+            first_start = parser.peek()
             first_term = parser.parse_expr()
             parser.expect_sym(",")
+            second_start = parser.peek()
             second_term = parser.parse_expr()
             parser.expect_sym(")")
-            first = T.pred_of_term(first_term)
-            second = T.pred_of_term(second_term)
-            if first is None or second is None:
-                raise ParseError("temporal operators apply to tests only")
-            return build(first, second)
+            return build(parser.expect_test(first_start, first_term),
+                         parser.expect_test(second_start, second_term))
 
         return handler
 

@@ -51,9 +51,9 @@ class ParseError(KmtError):
     character offset — is kept for backward compatibility).  ``expected`` is
     the set of token spellings the grammar allowed at that point, rendered as
     an "expected one of …" clause and kept machine-readable on the attribute.
-    ``bare_message`` preserves the undecorated message so wrappers (the While
-    frontend re-anchoring a sub-parse error against the whole program) can
-    re-render at a shifted position without stacking location clauses.
+    ``bare_message`` preserves the undecorated message so a wrapper (the core
+    parser anchoring a theory's position-less phrase error at the phrase)
+    can re-render it at a position without stacking location clauses.
     """
 
     def __init__(self, message, position=None, text=None, expected=None):

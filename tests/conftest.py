@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -61,6 +63,18 @@ def kmt_netkat(netkat):
 @pytest.fixture
 def kmt_product():
     return KMT(ProductTheory(IncNatTheory(variables=("x",)), BitVecTheory(variables=("a",))))
+
+
+@pytest.fixture
+def quiet_logging():
+    """Restore the silent-by-default ``kmt`` hierarchy after the test."""
+    yield
+    logger = logging.getLogger("kmt")
+    for handler in list(logger.handlers):
+        if not isinstance(handler, logging.NullHandler):
+            logger.removeHandler(handler)
+            handler.close()
+    logger.setLevel(logging.NOTSET)
 
 
 # ---------------------------------------------------------------------------

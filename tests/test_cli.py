@@ -142,7 +142,7 @@ class TestNumericOptionBounds:
         err = capsys.readouterr().err
         assert "usage:" in err and "Traceback" not in err
 
-    def test_zero_slow_query_threshold_is_allowed(self, capsys, monkeypatch):
+    def test_zero_slow_query_threshold_is_allowed(self, capsys, monkeypatch, quiet_logging):
         import io
 
         monkeypatch.setattr("sys.stdin", io.StringIO('{"op": "sat", "pred": "x > 1"}\n'))

@@ -30,18 +30,6 @@ class TestLRUBasics:
         assert len(cache) == 5000
         assert cache.stats.evictions == 0
 
-    def test_get_or_compute(self):
-        cache = LRUCache(maxsize=4, name="t")
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return "v"
-
-        assert cache.get_or_compute("k", compute) == "v"
-        assert cache.get_or_compute("k", compute) == "v"
-        assert len(calls) == 1
-
 
 class TestHitAccounting:
     def test_hits_misses_counted(self):

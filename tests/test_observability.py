@@ -45,18 +45,6 @@ def _assert_trace_consistent(trace):
         assert duration_ms >= 0.0
 
 
-@pytest.fixture
-def quiet_logging():
-    """Restore the silent-by-default ``kmt`` hierarchy after the test."""
-    yield
-    logger = logging.getLogger("kmt")
-    for handler in list(logger.handlers):
-        if not isinstance(handler, logging.NullHandler):
-            logger.removeHandler(handler)
-            handler.close()
-    logger.setLevel(logging.NOTSET)
-
-
 # ---------------------------------------------------------------------------
 # run_query / batch front end
 # ---------------------------------------------------------------------------

@@ -170,3 +170,26 @@ class TestProgramParserDiagnostics:
             parse_program(text, nat)
         assert "unterminated" in str(exc.value)
         assert exc.value.line is not None
+
+
+class TestExpectedTestPositions:
+    """Every "expected a test" rejection points at the offending operand."""
+
+    @pytest.mark.parametrize("entry, text, position, line, column", [
+        ("term", "~inc(x)", 1, 1, 2),
+        ("pred", "x > 1; inc(x)", 7, 1, 8),
+        ("term", "if (inc(x)) then skip else skip", 4, 1, 5),
+        ("program", "assume inc(x);", 7, 1, 8),
+        ("program", "while (inc(x)) { skip; }", 7, 1, 8),
+        ("program", "skip;\nif (x > 1) {\n    assert y > 0 + inc(y);\n}", 30, 3, 12),
+        ("program", "skip;\nwhile (x > 1) {\n    assume ~inc(x);\n}", 34, 3, 13),
+    ])
+    def test_anchored_at_operand(self, nat, entry, text, position, line, column):
+        parse = {"term": core_parser.parse_term, "pred": core_parser.parse_pred,
+                 "program": parse_program}[entry]
+        with pytest.raises(ParseError) as exc:
+            parse(text, nat)
+        error = exc.value
+        assert error.bare_message.startswith("expected a test")
+        assert (error.position, error.line, error.column) == (position, line, column)
+        assert "^" in str(error)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import parser as core_parser
 from repro.core import terms as T
 from repro.core.kmt import KMT
 from repro.lang import (
@@ -146,6 +147,26 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_program("while () { inc(i); }", nat)
 
+    @pytest.mark.parametrize("source, offending", [
+        ("assume i > 1 { inc(i); }", "{"),
+        ("inc(i) ) ;", ")"),
+        ("inc(i) then inc(j);", "then"),
+    ])
+    def test_statement_must_end_at_terminator(self, nat, source, offending):
+        with pytest.raises(ParseError) as exc:
+            parse_program(source, nat)
+        assert exc.value.position == source.rindex(offending)
+
+    def test_bare_semicolon_ends_a_core_if_term(self, nat):
+        # Inside a statement only an expr sequences: the ';' after the core
+        # ``if`` term's else branch ends the statement.
+        program = parse_program("i > 1 + if (i > 1) then inc(i) else skip; inc(j);", nat)
+        first, second = program.body.statements
+        cond = nat.gt("i", 1)
+        assert first.compile() is T.tplus(
+            T.ttest(cond), T.tif(cond, nat.inc("i"), T.tone()))
+        assert second.compile() is nat.inc("j")
+
 
 class TestFig1Programs:
     def test_pnat_program_compiles_and_verifies(self, nat, kmt):
@@ -246,6 +267,31 @@ class TestSourceSpans:
         _, branch, loop = program.body.statements
         assert self.SOURCE[slice(*branch.cond_span)] == "i > 0"
         assert self.SOURCE[slice(*loop.cond_span)] == "j < 4"
+
+    def test_long_program_is_tokenized_once(self, nat, monkeypatch):
+        # Statements, guards, tests and actions share one token stream.
+        calls = []
+        tokenize = core_parser.tokenize
+        monkeypatch.setattr(core_parser, "tokenize",
+                            lambda text: calls.append(text) or tokenize(text))
+        copies = 70
+        source = self.SOURCE * copies
+        program = parse_program(source, nat)
+        assert calls == [source]
+        statements = program.body.statements
+        assert len(statements) == 3 * copies
+        for copy in range(copies):
+            assume, branch, loop = statements[3 * copy:3 * copy + 3]
+            assert source[slice(*assume.span)] == "assume i < 2"
+            assert source[slice(*branch.span)].startswith("if (i > 0) {")
+            assert source[slice(*branch.span)].endswith("}")
+            assert source[slice(*branch.cond_span)] == "i > 0"
+            assert source[slice(*branch.then_branch.statements[0].span)] == "inc(i)"
+            assert source[slice(*loop.span)].startswith("while (j < 4) {")
+            assert source[slice(*loop.cond_span)] == "j < 4"
+            assert source[slice(*loop.body.statements[0].span)] == "j += 2"
+            offset = copy * len(self.SOURCE)
+            assert assume.span[0] == offset and loop.span[1] == offset + len(self.SOURCE) - 1
 
     def test_program_keeps_source_text(self, nat):
         program = parse_program(self.SOURCE, nat)
