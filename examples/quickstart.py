@@ -28,9 +28,10 @@ def main():
     print()
     print("=== 2. normalization (pushback) ===")
     loop = kmt.parse("inc(x)*; x > 3")
-    normal_form, stats = kmt.normalize_with_stats(loop)
+    normal_form = kmt.normalize(loop)
+    steps = kmt.stats()["session"]["normalization_steps"]
     print(f"normalizing  {kmt.pretty(loop)}")
-    print(f"  {len(normal_form)} summands, {stats.steps} pushback steps")
+    print(f"  {len(normal_form)} summands, {steps} pushback steps")
     print("  normal form:", pretty_normal_form(normal_form))
 
     print()

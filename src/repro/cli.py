@@ -19,6 +19,19 @@ supported theory, it partitions them into equivalence classes.  ``batch`` and
 ``serve`` run the :mod:`repro.engine` front end: persistent per-theory
 sessions with memoized normalization/decision caches (see the module docs of
 :mod:`repro.engine.batch` for the request/response schema).
+
+The one-shot verbs ``equiv``, ``incl``, ``member``, ``norm``, ``sat``,
+``verify``, ``prog-equiv`` and ``dead-code`` are that protocol too: each
+builds one request record and answers it through
+:func:`repro.engine.server.execute_record`, the function behind every batch
+and serve worker, so a query gets the same answer and the same errors on
+every path.  ``classes`` and ``run`` are not protocol ops and call
+:class:`~repro.core.kmt.KMT` directly.
+
+Exit codes: 0 means yes (equivalent, valid, satisfiable, no dead code, ...),
+1 means no, and 2 means the query could not be answered — a usage error, an
+unreadable file, an unknown theory, a parse error, a budget overrun or input
+nested too deeply — reported as one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -28,78 +41,103 @@ import sys
 import time
 
 from repro.core.kmt import KMT
-from repro.core.pretty import pretty_normal_form
+from repro.engine.batch import classify_query_error
+from repro.engine.server import execute_record
+from repro.engine.session import ShardedSessionPool
 from repro.theories import build_theory  # noqa: F401  (re-exported; tests import it here)
-from repro.utils.errors import KmtError
+from repro.utils.errors import KmtError, caret_frame
 
 
 def _make_kmt(args):
     return KMT(build_theory(args.theory), budget=args.budget)
 
 
-def cmd_equiv(args):
-    kmt = _make_kmt(args)
-    started = time.perf_counter()
-    result = kmt.check_equivalent(args.left, args.right)
-    elapsed = time.perf_counter() - started
-    verdict = "equivalent" if result.equivalent else "NOT equivalent"
-    print(f"{verdict}  ({elapsed:.3f}s, {result.cells_explored} cells explored, "
-          f"{result.signatures_explored} signatures)")
-    if result.counterexample is not None:
-        print("counterexample:", result.counterexample.describe())
-    return 0 if result.equivalent else 1
+def _open_text(path):
+    """Open a file argument for reading; an unreadable one is a usage error."""
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as error:
+        raise KmtError(f"cannot read {path}: {error.strerror or error}") from None
 
 
-def cmd_incl(args):
-    kmt = _make_kmt(args)
-    started = time.perf_counter()
-    result = kmt.check_inclusion(args.left, args.right)
-    elapsed = time.perf_counter() - started
-    verdict = "included" if result.includes else "NOT included"
-    print(f"{verdict}  ({elapsed:.3f}s, {result.cells_explored} cells explored, "
-          f"{result.signatures_explored} signatures)")
-    if result.counterexample is not None:
-        cex = result.counterexample
-        print("witness:", cex.describe())
-    return 0 if result.includes else 1
+def _read_text(path):
+    """The whole text of a file argument; undecodable text is a usage error."""
+    with _open_text(path) as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as error:
+            raise KmtError(f"cannot read {path}: not UTF-8 text ({error.reason})") from None
 
 
-def cmd_member(args):
-    kmt = _make_kmt(args)
-    started = time.perf_counter()
-    verdict = kmt.member(args.term, args.word)
-    elapsed = time.perf_counter() - started
-    print(f"{'member' if verdict else 'NOT a member'}  ({elapsed:.3f}s)")
-    return 0 if verdict else 1
+def _one_shot(op, fields, render, programs=()):
+    """A one-shot verb: one protocol record through :func:`execute_record`.
+
+    The record's ``fields`` are the parsed arguments of the same names (those
+    in ``programs`` may be ``@path``).  It runs on a fresh one-stripe pool,
+    exactly as ``kmt batch`` would run it; an error response becomes a
+    ``KmtError`` (exit 2), and ``render(record, result, elapsed, pool)``
+    prints an ok one and returns the exit code.
+    """
+    def command(args):
+        record = {"op": op, "theory": args.theory}
+        for field in fields:
+            value = getattr(args, field)
+            if field in programs and value.startswith("@"):
+                value = _read_text(value[1:])
+            record[field] = value
+        pool = ShardedSessionPool(stripes=1, budget=args.budget)
+        started = time.perf_counter()
+        response = execute_record(pool, record, args.theory, 0)
+        elapsed = time.perf_counter() - started
+        if not response["ok"]:
+            raise KmtError(response["error"])
+        return render(record, response["result"], elapsed, pool)
+
+    return command
 
 
-def cmd_norm(args):
-    kmt = _make_kmt(args)
-    nf, stats = kmt.normalize_with_stats(kmt.parse(args.term))
-    print(pretty_normal_form(nf))
-    print(
-        f"# {len(nf)} summands, {stats.steps} pushback steps, "
-        f"{stats.prim_pushbacks} primitive pushbacks",
-        file=sys.stderr,
-    )
+def _show_equiv(record, result, elapsed, pool):
+    verdict = "equivalent" if result["equivalent"] else "NOT equivalent"
+    print(f"{verdict}  ({elapsed:.3f}s, {result['cells_explored']} cells explored, "
+          f"{result['signatures_explored']} signatures)")
+    if "counterexample" in result:
+        print("counterexample:", result["counterexample"])
+    return 0 if result["equivalent"] else 1
+
+
+def _show_inclusion(record, result, elapsed, pool):
+    verdict = "included" if result["includes"] else "NOT included"
+    print(f"{verdict}  ({elapsed:.3f}s, {result['cells_explored']} cells explored, "
+          f"{result['signatures_explored']} signatures)")
+    if "counterexample" in result:
+        print("witness:", result["counterexample"])
+    return 0 if result["includes"] else 1
+
+
+def _show_member(record, result, elapsed, pool):
+    print(f"{'member' if result['member'] else 'NOT a member'}  ({elapsed:.3f}s)")
+    return 0 if result["member"] else 1
+
+
+def _show_norm(record, result, elapsed, pool):
+    print(result["normal_form"])
+    steps = pool.session(record["theory"]).stats()["session"]["normalization_steps"]
+    print(f"# {result['summands']} summands, {steps} pushback steps", file=sys.stderr)
     return 0
 
 
-def cmd_sat(args):
-    kmt = _make_kmt(args)
-    satisfiable = kmt.satisfiable(args.pred)
-    print("satisfiable" if satisfiable else "unsatisfiable")
-    return 0 if satisfiable else 1
+def _show_sat(record, result, elapsed, pool):
+    print("satisfiable" if result["satisfiable"] else "unsatisfiable")
+    return 0 if result["satisfiable"] else 1
 
 
 def cmd_classes(args):
     kmt = _make_kmt(args)
     lines = []
-    with open(args.file, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                lines.append(line)
+    for raw in _read_text(args.file).split("\n"):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            lines.append(line)
     terms = [kmt.parse(line) for line in lines]
     classes = kmt.partition(terms)
     for class_index, members in enumerate(classes):
@@ -109,19 +147,7 @@ def cmd_classes(args):
     return 0
 
 
-def _read_program(arg):
-    """A program argument: literal While source, or ``@path`` to read a file."""
-    if arg.startswith("@"):
-        with open(arg[1:], "r", encoding="utf-8") as handle:
-            return handle.read()
-    return arg
-
-
-def cmd_verify(args):
-    kmt = _make_kmt(args)
-    started = time.perf_counter()
-    result = kmt.verify(args.pre, _read_program(args.program), args.post)
-    elapsed = time.perf_counter() - started
+def _show_verify(record, result, elapsed, pool):
     if result["holds"]:
         print(f"valid  ({elapsed:.3f}s, {result['cells_explored']} cells explored)")
         return 0
@@ -133,11 +159,7 @@ def cmd_verify(args):
     return 1
 
 
-def cmd_prog_equiv(args):
-    kmt = _make_kmt(args)
-    started = time.perf_counter()
-    result = kmt.prog_equiv(_read_program(args.left), _read_program(args.right))
-    elapsed = time.perf_counter() - started
+def _show_prog_equiv(record, result, elapsed, pool):
     verdict = "equivalent" if result["equivalent"] else "NOT equivalent"
     print(f"{verdict}  ({elapsed:.3f}s, {result['cells_explored']} cells explored)")
     if "counterexample" in result:
@@ -145,31 +167,22 @@ def cmd_prog_equiv(args):
     return 0 if result["equivalent"] else 1
 
 
-def cmd_dead_code(args):
-    from repro.utils.errors import caret_frame
-
-    kmt = _make_kmt(args)
-    program = _read_program(args.program)
-    started = time.perf_counter()
-    result = kmt.dead_code(program)
-    elapsed = time.perf_counter() - started
+def _show_dead_code(record, result, elapsed, pool):
     for entry in result["statements"]:
         marker = "DEAD" if entry["dead"] else "  ok"
         span = entry.get("span")
         loc = f"{span['line']}:{span['column']}" if span else "-"
         print(f"{marker}  {loc:>6}  {entry['text']}")
         if entry["dead"] and span is not None:
-            print(caret_frame(program, span["start"], prefix="      | "))
+            print(caret_frame(record["program"], span["start"], prefix="      | "))
         reason = entry.get("reason")
         if reason is not None:
+            where = reason.get("span")
+            at = f" (at {where['line']}:{where['column']})" if where else ""
             if reason["kind"] == "guard":
                 polarity = "~" if reason["negated"] else ""
-                where = reason.get("span")
-                at = f" (at {where['line']}:{where['column']})" if where else ""
                 print(f"      reason: guard {polarity}({reason['guard']}){at}")
             else:
-                where = reason.get("span")
-                at = f" (at {where['line']}:{where['column']})" if where else ""
                 detail = f" {reason['guard']}" if "guard" in reason else ""
                 print(f"      reason: {reason['kind']}{detail}{at}")
     print(f"# {result['dead']} dead of {result['total']} statements ({elapsed:.3f}s)",
@@ -215,14 +228,7 @@ def cmd_batch(args):
     # readlines() — no duplicate raw-text buffer for `kmt batch -` on a large
     # pipe.  (Responses are still materialized: the batch contract answers
     # strictly in input order after executing everything.)
-    if args.file == "-":
-        source = contextlib.nullcontext(sys.stdin)
-    else:
-        try:
-            source = open(args.file, "r", encoding="utf-8")
-        except OSError as error:
-            print(f"error: cannot read batch file: {error}", file=sys.stderr)
-            return 2
+    source = contextlib.nullcontext(sys.stdin) if args.file == "-" else _open_text(args.file)
     started = time.perf_counter()
     with source as lines:
         responses, pool = run_batch_lines(
@@ -315,7 +321,7 @@ def cmd_serve(args):
 
     if args.socket:
         host, port = _parse_host_port(args.socket)
-        socket_server = SocketServer(host=host, port=port, server=server, ordered=args.ordered)
+        socket_server = SocketServer(server, host=host, port=port, ordered=args.ordered)
         socket_server.start()
         print(f"# listening on {host}:{socket_server.port} "
               f"({args.workers} {args.backend} workers, {server.stripes} stripes)",
@@ -337,7 +343,7 @@ def cmd_serve(args):
         return 0
 
     try:
-        served = serve_stdio(sys.stdin, sys.stdout, ordered=args.ordered, server=server)
+        served = serve_stdio(sys.stdin, sys.stdout, server, ordered=args.ordered)
     except _Terminated:
         served = None
     finally:
@@ -390,8 +396,7 @@ def cmd_route(args):
     if threading.current_thread() is threading.main_thread():
         signal.signal(signal.SIGTERM, _on_sigterm)
 
-    socket_server = SocketServer(host=host, port=port, server=router,
-                                 ordered=args.ordered)
+    socket_server = SocketServer(router, host=host, port=port, ordered=args.ordered)
     socket_server.start()
     # Backends that are already up join the ring during start(); late ones
     # are picked up by the probe loop — routing with a partial ring is fine.
@@ -421,8 +426,7 @@ def cmd_query(args):
     if args.request == "-":
         raw = sys.stdin.readline()
     elif args.request.startswith("@"):
-        with open(args.request[1:], "r", encoding="utf-8") as handle:
-            raw = handle.read()
+        raw = _read_text(args.request[1:])
     else:
         raw = args.request
     try:
@@ -489,7 +493,7 @@ def make_arg_parser():
     equiv = sub.add_parser("equiv", help="decide equivalence of two terms")
     equiv.add_argument("left")
     equiv.add_argument("right")
-    equiv.set_defaults(func=cmd_equiv)
+    equiv.set_defaults(func=_one_shot("equiv", ("left", "right"), _show_equiv))
 
     incl = sub.add_parser(
         "incl",
@@ -500,7 +504,7 @@ def make_arg_parser():
     )
     incl.add_argument("left")
     incl.add_argument("right")
-    incl.set_defaults(func=cmd_incl)
+    incl.set_defaults(func=_one_shot("inclusion", ("left", "right"), _show_inclusion))
 
     member = sub.add_parser(
         "member",
@@ -514,15 +518,15 @@ def make_arg_parser():
         "word", nargs="*",
         help="primitive actions, one per argument (or ';'-separated in one)",
     )
-    member.set_defaults(func=cmd_member)
+    member.set_defaults(func=_one_shot("member", ("term", "word"), _show_member))
 
     norm = sub.add_parser("norm", help="print the normal form of a term")
     norm.add_argument("term")
-    norm.set_defaults(func=cmd_norm)
+    norm.set_defaults(func=_one_shot("norm", ("term",), _show_norm))
 
     sat = sub.add_parser("sat", help="decide satisfiability of a predicate")
     sat.add_argument("pred")
-    sat.set_defaults(func=cmd_sat)
+    sat.set_defaults(func=_one_shot("sat", ("pred",), _show_sat))
 
     classes = sub.add_parser("classes", help="partition a file of terms into equivalence classes")
     classes.add_argument("file")
@@ -542,7 +546,8 @@ def make_arg_parser():
     verify.add_argument("pre", help="precondition (a test in the theory's syntax)")
     verify.add_argument("program", help="While program source, or @path to a file")
     verify.add_argument("post", help="postcondition (a test in the theory's syntax)")
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(func=_one_shot("verify", ("pre", "program", "post"), _show_verify,
+                                      programs=("program",)))
 
     prog_equiv = sub.add_parser(
         "prog-equiv",
@@ -550,7 +555,8 @@ def make_arg_parser():
     )
     prog_equiv.add_argument("left", help="While program source, or @path to a file")
     prog_equiv.add_argument("right", help="While program source, or @path to a file")
-    prog_equiv.set_defaults(func=cmd_prog_equiv)
+    prog_equiv.set_defaults(func=_one_shot("prog_equiv", ("left", "right"), _show_prog_equiv,
+                                          programs=("left", "right")))
 
     dead_code = sub.add_parser(
         "dead-code",
@@ -560,7 +566,8 @@ def make_arg_parser():
         ),
     )
     dead_code.add_argument("program", help="While program source, or @path to a file")
-    dead_code.set_defaults(func=cmd_dead_code)
+    dead_code.set_defaults(func=_one_shot("dead_code", ("program",), _show_dead_code,
+                                         programs=("program",)))
 
     batch = sub.add_parser(
         "batch", help="run a JSONL batch of queries over cached engine sessions"
@@ -753,8 +760,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KmtError as error:
-        print(f"error: {error}", file=sys.stderr)
+    except (KmtError, RecursionError) as error:
+        # Over-deep input on ``run``/``classes`` (the verbs that do not go
+        # through execute_record) gets the protocol's ``input_too_deep`` text.
+        print(f"error: {classify_query_error(error)[0]}", file=sys.stderr)
         return 2
 
 

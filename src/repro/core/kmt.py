@@ -35,7 +35,7 @@ import threading
 
 from repro.core import automata
 from repro.core import parser as parser_mod
-from repro.core import pushback, semantics, terms
+from repro.core import semantics, terms
 from repro.core.decision import EquivalenceChecker
 from repro.core.pushback import DEFAULT_BUDGET, Normalizer
 from repro.utils.errors import KmtError
@@ -149,10 +149,6 @@ class KMT:
             self._cumulative_steps += self._normalizer.stats.steps
         self.caches.norm.put(term, nf)
         return nf
-
-    def normalize_with_stats(self, term):
-        """One uncached normalization run and its step counts."""
-        return pushback.normalize_with_stats(term, self.theory, budget=self.budget)
 
     # ------------------------------------------------------------------
     # decision procedures (all routed through the cached normalizer)

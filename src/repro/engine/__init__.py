@@ -15,8 +15,9 @@ facades alive and feeds them requests:
   engine's name for :class:`~repro.core.kmt.KMT`;
 * :mod:`repro.engine.batch` — the JSONL protocol: request classification,
   stable error codes, and execution of one query record on a session;
-* :mod:`repro.engine.server` — the one scheduler every query goes through:
-  bounded intake queue with backpressure, per-``(theory, stripe)`` session
+* :mod:`repro.engine.server` — ``execute_record``, the one function that
+  runs a query record for every worker and every one-shot CLI verb, and the
+  one scheduler every served query goes through: bounded intake queue with backpressure, per-``(theory, stripe)`` session
   shards pinned to workers (threads in-process, or worker *processes* for
   true CPU parallelism — crashed workers are respawned by a supervisor),
   per-request deadlines with cooperative cancellation, out-of-order or

@@ -1,12 +1,15 @@
 """The query scheduler and its front ends: ``kmt serve`` and ``kmt batch``.
 
-Every query takes one path: a front end feeds raw JSONL lines (the protocol
-of :mod:`repro.engine.batch`) to :meth:`QueryServer.submit_line`, the
-scheduler routes the record to a shard, and a backend runs it through
-:func:`execute_record`.  The front ends differ only in how they feed lines and
+Every query takes one path, :func:`execute_record`.  A front end feeds raw
+JSONL lines (the protocol of :mod:`repro.engine.batch`) to
+:meth:`QueryServer.submit_line`, the scheduler routes the record to a shard,
+and a backend runs it through :func:`execute_record`; the CLI's one-shot
+verbs (``kmt equiv``, ``kmt verify``, ...) call it directly with one record
+on a one-stripe pool.  The front ends differ only in how they feed lines and
 write responses — :func:`serve_stdio` and :class:`SocketServer` serve a live
-stream, :func:`run_batch_lines` answers a file in input order.  The scheduler
-supplies the serving concerns:
+stream on a :class:`QueryServer` their caller built, :func:`run_batch_lines`
+builds its own and answers a file in input order.  The scheduler supplies
+the serving concerns:
 
 * **Bounded intake queue with backpressure** — at most ``queue_limit``
   requests are in flight; a submitter either blocks (stdin / per-connection
@@ -163,9 +166,10 @@ def execute_record(pool, record, default_theory, fallback_id, cancel=None,
     """Execute one parsed query record on a sharded pool; returns the response.
 
     The single execution codepath shared by the thread backend (worker
-    threads in this process) and the process backend (inside each worker
-    process): session lookup, query execution and error classification all
-    happen here, so the two backends cannot drift apart on semantics.
+    threads in this process), the process backend (inside each worker
+    process) and the CLI's one-shot verbs: session lookup, query execution
+    and error classification all happen here, so no entry point can drift
+    apart from the others on semantics.
     ``theory``/``stripe`` accept the scheduler's already-computed routing (the
     thread backend passes them to avoid re-hashing the request content); when
     absent they are derived from the record — identically, since the process
@@ -874,7 +878,7 @@ class QueryServer:
     """
 
     def __init__(self, workers=4, stripes=None, queue_limit=128, default_theory=DEFAULT_THEORY,
-                 budget=DEFAULT_BUDGET, theory_factory=None, pool=None, backend="thread",
+                 budget=DEFAULT_BUDGET, theory_factory=None, backend="thread",
                  theory_factory_spec=None, slow_query_ms=None):
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
@@ -893,9 +897,6 @@ class QueryServer:
         self.default_theory = default_theory
         self.backend_name = backend
         if backend == "process":
-            if pool is not None:
-                raise ValueError("the process backend builds per-worker pools; "
-                                 "an in-process pool cannot be shared across it")
             if theory_factory is not None:
                 raise ValueError("theory_factory is in-process only; pass "
                                  "theory_factory_spec='module:attribute' for the "
@@ -911,13 +912,9 @@ class QueryServer:
                                  "not both")
             if theory_factory_spec is not None:
                 theory_factory = resolve_theory_factory(theory_factory_spec)
-            if pool is not None:
-                self.pool = pool
-                self.stripes = pool.stripes
-            else:
-                self.pool = ShardedSessionPool(
-                    stripes=self.stripes, budget=budget, theory_factory=theory_factory,
-                )
+            self.pool = ShardedSessionPool(
+                stripes=self.stripes, budget=budget, theory_factory=theory_factory,
+            )
             self.backend = ThreadExecutionBackend(self.pool, default_theory)
         if slow_query_ms is not None and slow_query_ms < 0:
             raise ValueError(f"slow_query_ms must be non-negative, got {slow_query_ms}")
@@ -1347,28 +1344,19 @@ class QueryServer:
 # ---------------------------------------------------------------------------
 
 
-def serve_stdio(stdin, stdout, workers=4, stripes=None, queue_limit=128, ordered=False,
-                default_theory=DEFAULT_THEORY, budget=DEFAULT_BUDGET, theory_factory=None,
-                server=None, backend="thread", theory_factory_spec=None):
-    """Serve the JSONL protocol from ``stdin`` to ``stdout`` concurrently.
+def serve_stdio(stdin, stdout, server, ordered=False):
+    """Serve the JSONL protocol from ``stdin`` to ``stdout`` on ``server``.
 
     Same protocol and default-``id`` semantics (0-based input line number)
-    as ``kmt batch``; requests overlap across worker shards and completions
-    are emitted out-of-order unless ``ordered=True`` (``ordered=True,
-    workers=1`` answers strictly one request at a time, in input order).
-    Runs until EOF or ``{"op": "quit"}``, drains in-flight requests, and
-    returns the number of protocol-valid requests accepted (malformed lines
-    are answered with error records but not counted).
-
-    An externally-managed ``server`` may be passed (it is then only drained,
-    not shut down); otherwise one is created from the keyword options.
+    as ``kmt batch``; requests overlap across the server's worker shards and
+    completions are emitted out-of-order unless ``ordered=True`` (on a
+    one-worker server that answers strictly one request at a time, in input
+    order).  Starts ``server`` if it is not running, reads until EOF or
+    ``{"op": "quit"}``, waits for this stream's in-flight requests to answer,
+    and returns the number of protocol-valid requests accepted (malformed
+    lines are answered with error records but not counted).  The server
+    stays up: shutting it down is the caller's job.
     """
-    own_server = server is None
-    if own_server:
-        server = QueryServer(workers=workers, stripes=stripes, queue_limit=queue_limit,
-                             default_theory=default_theory, budget=budget,
-                             theory_factory=theory_factory, backend=backend,
-                             theory_factory_spec=theory_factory_spec)
     server.start()
     sink = ResponseSink(
         lambda line: (stdout.write(line + "\n"), stdout.flush()), ordered=ordered)
@@ -1381,12 +1369,9 @@ def serve_stdio(stdin, stdout, workers=4, stripes=None, queue_limit=128, ordered
             if outcome in ("queued", "control"):
                 served += 1
     finally:
-        if own_server:
-            server.shutdown(drain=True)
-        else:
-            # A shared server stays usable for other clients: wait for this
-            # stream's work without flipping the server to non-accepting.
-            server.wait_idle()
+        # Wait for this stream's work without flipping the server to
+        # non-accepting: it may still serve other clients.
+        server.wait_idle()
         sink.wait_drained(timeout=5.0)
     return served
 
@@ -1408,22 +1393,20 @@ class _BatchSink(ResponseSink):
 
 
 def run_batch_lines(lines, default_theory=DEFAULT_THEORY, budget=DEFAULT_BUDGET, jobs=4,
-                    pool=None, slow_query_ms=None):
+                    slow_query_ms=None):
     """Answer a JSONL batch in input order; returns ``(responses, pool)``.
 
-    The lines go through the same :class:`QueryServer` as ``kmt serve`` (thread
-    backend, ``jobs`` workers) over ``pool`` — by default a fresh
-    :class:`ShardedSessionPool` with one stripe, so each theory's queries
-    share one warm session.  ``lines`` is consumed lazily, one line at a
-    time.  Blank lines and ``#`` comments get no response; a record without
-    an ``id`` gets its 0-based input line number.  ``quit`` is answered
-    ``unknown_op`` (it only means something to ``serve``) and the batch goes
-    on.
+    The lines go through the same :class:`QueryServer` as ``kmt serve``
+    (thread backend, ``jobs`` workers) with one stripe, so each theory's
+    queries share one warm session; ``pool`` is that server's
+    :class:`ShardedSessionPool`, returned for its stats and sessions.
+    ``lines`` is consumed lazily, one line at a time.  Blank lines and ``#``
+    comments get no response; a record without an ``id`` gets its 0-based
+    input line number.  ``quit`` is answered ``unknown_op`` (it only means
+    something to ``serve``) and the batch goes on.
     """
-    if pool is None:
-        pool = ShardedSessionPool(stripes=1, budget=budget)
-    server = QueryServer(workers=jobs, default_theory=default_theory, pool=pool,
-                         slow_query_ms=slow_query_ms)
+    server = QueryServer(workers=jobs, stripes=1, default_theory=default_theory,
+                         budget=budget, slow_query_ms=slow_query_ms)
     sink = _BatchSink()
     server.start()
     try:
@@ -1437,7 +1420,7 @@ def run_batch_lines(lines, default_theory=DEFAULT_THEORY, budget=DEFAULT_BUDGET,
                     f"{', '.join(QUERY_OPS + CONTROL_OPS)}", ERROR_UNKNOWN_OP))
     finally:
         server.shutdown(drain=True)
-    return [json.loads(line) for line in sink.lines], pool
+    return [json.loads(line) for line in sink.lines], server.pool
 
 
 #: Per-connection bound on responses waiting for a slow client to read them.
@@ -1510,7 +1493,10 @@ class _ConnectionWriter:
 class SocketServer:
     """TCP front end: one JSONL protocol conversation per connection.
 
-    Each accepted connection gets a reader thread and its own
+    ``server`` is the built :class:`QueryServer` (or the cluster
+    :class:`~repro.engine.router.Router`) that answers every connection's
+    lines; :meth:`start` starts it and :meth:`close` shuts it down.  Each
+    accepted connection gets a reader thread and its own
     :class:`ResponseSink` (so ids, ordering and backpressure blocking are all
     per-client).  ``{"op": "quit"}`` is connection-scoped — that client is
     drained and closed while the server keeps running; stop the whole server
@@ -1520,12 +1506,12 @@ class SocketServer:
     after :meth:`start`.
     """
 
-    def __init__(self, host="127.0.0.1", port=0, server=None, ordered=False, **server_options):
+    def __init__(self, server, host="127.0.0.1", port=0, ordered=False):
         self.host = host
         self.requested_port = port
         self.port = None
         self.ordered = ordered
-        self.server = server if server is not None else QueryServer(**server_options)
+        self.server = server
         self._listener = None
         self._accept_thread = None
         self._conn_threads = []

@@ -31,35 +31,7 @@ from repro.smt.literals import atoms_of, evaluate, substitute
 
 def dpll_satisfiable(pred, theory):
     """Decide satisfiability of ``pred`` over the given theory's tests."""
-    if isinstance(pred, T.POne):
-        return True
-    if isinstance(pred, T.PZero):
-        return False
-    atoms = atoms_of(pred)
-    return _search(pred, atoms, 0, [], theory)
-
-
-def _search(pred, atoms, index, literals, theory):
-    if isinstance(pred, T.PZero):
-        return False
-    if literals and not theory.satisfiable_conjunction(literals):
-        return False
-    if isinstance(pred, T.POne):
-        # The remaining atoms are unconstrained; the decided literals are
-        # already theory-consistent (checked above), so we are satisfiable.
-        return True
-    if index >= len(atoms):
-        # All atoms decided; pred should have collapsed to a constant, but a
-        # theory atom can appear under an uninterpreted wrapper — fall back to
-        # evaluation under the assignment.
-        assignment = {alpha: polarity for alpha, polarity in literals}
-        return evaluate(pred, assignment)
-    alpha = atoms[index]
-    for polarity in (True, False):
-        simplified = substitute(pred, alpha, polarity)
-        if _search(simplified, atoms, index + 1, literals + [(alpha, polarity)], theory):
-            return True
-    return False
+    return dpll_model(pred, theory) is not None
 
 
 def dpll_model(pred, theory):
@@ -67,23 +39,28 @@ def dpll_model(pred, theory):
     if isinstance(pred, T.PZero):
         return None
     atoms = atoms_of(pred)
-    return _search_model(pred, atoms, 0, [], theory)
+    return _search(pred, atoms, 0, [], theory)
 
 
-def _search_model(pred, atoms, index, literals, theory):
+def _search(pred, atoms, index, literals, theory):
     if isinstance(pred, T.PZero):
         return None
     if literals and not theory.satisfiable_conjunction(literals):
         return None
     if isinstance(pred, T.POne):
+        # The remaining atoms are unconstrained; the decided literals are
+        # already theory-consistent (checked above), so we are satisfiable.
         return list(literals)
     if index >= len(atoms):
+        # All atoms decided; pred should have collapsed to a constant, but a
+        # theory atom can appear under an uninterpreted wrapper — fall back to
+        # evaluation under the assignment.
         assignment = {alpha: polarity for alpha, polarity in literals}
         return list(literals) if evaluate(pred, assignment) else None
     alpha = atoms[index]
     for polarity in (True, False):
         simplified = substitute(pred, alpha, polarity)
-        found = _search_model(simplified, atoms, index + 1, literals + [(alpha, polarity)], theory)
+        found = _search(simplified, atoms, index + 1, literals + [(alpha, polarity)], theory)
         if found is not None:
             return found
     return None

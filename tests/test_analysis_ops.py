@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis import checks
 from repro.engine.server import run_batch_lines
-from repro.engine.server import serve_stdio
+from repro.engine.server import QueryServer, serve_stdio
 from repro.engine.session import EngineSession
 from repro.theories import build_theory
 from repro.theories.incnat import IncNatTheory
@@ -290,7 +290,8 @@ class TestDifferentialPaths:
     def _run_server(self, backend):
         stdin = io.StringIO("\n".join(self.WORKLOAD) + "\n")
         stdout = io.StringIO()
-        serve_stdio(stdin, stdout, workers=2, backend=backend)
+        with QueryServer(workers=2, backend=backend) as server:
+            serve_stdio(stdin, stdout, server)
         lines = [json.loads(line) for line in stdout.getvalue().splitlines()]
         return sorted(lines, key=lambda r: r["id"])
 

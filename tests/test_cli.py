@@ -1,8 +1,14 @@
 """Tests for the command-line interface (the paper's partitioning tool)."""
 
+import json
+
 import pytest
 
+from repro import cli
 from repro.cli import build_theory, main
+from repro.core.kmt import KMT
+from repro.core.pushback import normalize_with_stats
+from repro.engine.server import run_batch_lines
 from repro.theories.bitvec import BitVecTheory
 from repro.theories.incnat import IncNatTheory
 from repro.theories.ltlf import LtlfTheory
@@ -51,6 +57,13 @@ class TestNormCommand:
         assert code == 0
         assert "+" in captured.out
         assert "summands" in captured.err
+
+    def test_step_count_is_one_pushback_run(self, capsys):
+        kmt = KMT(build_theory("incnat"))
+        nf, stats = normalize_with_stats(kmt.parse("inc(x)*; x > 1"), kmt.theory)
+        assert main(["--theory", "incnat", "norm", "inc(x)*; x > 1"]) == 0
+        assert capsys.readouterr().err == (
+            f"# {len(nf)} summands, {stats.steps} pushback steps\n")
 
 
 class TestSatCommand:
@@ -246,3 +259,113 @@ class TestDeadCodeCommand:
         captured = capsys.readouterr()
         assert code == 0
         assert "DEAD" not in captured.out
+
+
+#: A term nested past the interpreter's recursion limit.
+DEEP = "(" * 3000 + "inc(x)" + ")" * 3000
+
+#: ``op`` -> whether an ok result of that op means "yes" (exit 0).
+_YES = {
+    "equiv": lambda result: result["equivalent"],
+    "inclusion": lambda result: result["includes"],
+    "member": lambda result: result["member"],
+    "norm": lambda result: True,
+    "sat": lambda result: result["satisfiable"],
+    "verify": lambda result: result["holds"],
+    "prog_equiv": lambda result: result["equivalent"],
+    "dead_code": lambda result: not result["dead"],
+}
+
+
+def _exit_code_of(response):
+    if not response["ok"]:
+        return 2
+    return 0 if _YES[response["op"]](response["result"]) else 1
+
+
+class TestOneShotVerbsTakeTheProtocolPath:
+    """Every one-shot verb is one ``execute_record`` call, and its exit code
+    is the verdict ``kmt batch`` gives the same record."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["equiv", "inc(x); x > 1", "x > 0; inc(x)"], 0),
+        (["equiv", "x > 1", "x > 2"], 1),
+        (["incl", "inc(x)", "inc(x) + inc(y)"], 0),
+        (["incl", "inc(x) + inc(y)", "inc(x)"], 1),
+        (["member", "(inc(x))*; x > 1", "inc(x)", "inc(x)"], 0),
+        (["member", "inc(x)", "inc(y)"], 1),
+        (["norm", "inc(x)*; x > 1"], 0),
+        (["sat", "x > 3; ~(x > 5)"], 0),
+        (["sat", "x > 5; ~(x > 3)"], 1),
+        (["verify", "i < 2", "while (i < 5) { i += 1; j += 2; }", "j > 5"], 0),
+        (["verify", "i < 2", "while (i < 5) { i += 1; j += 2; }", "j > 20"], 1),
+        (["prog-equiv", "skip;", "if (i > 0) { } else { }"], 0),
+        (["prog-equiv", "inc(i);", "skip;"], 1),
+        (["dead-code", "inc(i); inc(j);"], 0),
+        (["dead-code", "assume i > 4; if (i < 3) { inc(i); }"], 1),
+        (["sat", "x > !!"], 2),
+        (["equiv", DEEP, "inc(x)"], 2),
+        (["--theory", "nosuch", "sat", "true"], 2),
+        (["--budget", "2000", "--theory", "bitvec", "equiv",
+          "(flip a + flip b + flip c)*", "(flip a + flip b + flip c)*"], 2),
+    ])
+    def test_one_call_with_the_batch_verdict(self, argv, expected, monkeypatch, capsys):
+        records = []
+        execute_record = cli.execute_record
+
+        def spy(pool, record, default_theory, fallback_id):
+            records.append(dict(record))
+            return execute_record(pool, record, default_theory, fallback_id)
+
+        monkeypatch.setattr(cli, "execute_record", spy)
+        code = main(argv)
+        assert len(records) == 1
+        budget = int(argv[argv.index("--budget") + 1]) if "--budget" in argv else 500_000
+        (response,), _ = run_batch_lines([json.dumps(records[0])], budget=budget)
+        assert code == expected == _exit_code_of(response)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if expected == 2:
+            assert err == f"error: {response['error']}\n"
+
+
+class TestOverDeepInput:
+    """Input nested past the recursion limit is an ``error:`` line and exit 2
+    on ``run`` and ``classes`` too, which do not go through the protocol."""
+
+    @pytest.mark.parametrize("verb", ["run", "classes"])
+    def test_clean_error(self, verb, tmp_path, capsys):
+        terms_file = tmp_path / "terms.txt"
+        terms_file.write_text(DEEP + "\n")
+        argv = {"run": ["run", DEEP], "classes": ["classes", str(terms_file)]}[verb]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input nested too deeply: ")
+        assert err.count("\n") == 1
+
+
+class TestUnreadableFileArguments:
+    """A file argument that cannot be read is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "true", "@{missing}", "true"],
+        ["verify", "true", "@{directory}", "true"],
+        ["verify", "true", "@{binary}", "true"],
+        ["prog-equiv", "@{missing}", "skip;"],
+        ["prog-equiv", "skip;", "@{missing}"],
+        ["dead-code", "@{missing}"],
+        ["classes", "{missing}"],
+        ["classes", "{binary}"],
+        ["query", "--connect", "127.0.0.1:9", "@{missing}"],
+        ["batch", "{missing}"],
+    ])
+    def test_cannot_read(self, argv, tmp_path, capsys):
+        binary = tmp_path / "binary.while"
+        binary.write_bytes(b"\xff\xfe skip;")
+        paths = {"missing": tmp_path / "missing.while", "directory": tmp_path,
+                 "binary": binary}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ")
+        assert err.count("\n") == 1

@@ -6,13 +6,13 @@ import json
 
 import pytest
 
-from repro.engine.server import run_batch_lines, serve_stdio
-from repro.engine.session import ShardedSessionPool
+from repro.engine.server import QueryServer, run_batch_lines, serve_stdio
 
 
 def serve(stdin, stdout):
     """One request at a time, answered in input order."""
-    return serve_stdio(stdin, stdout, ordered=True, workers=1)
+    with QueryServer(workers=1) as server:
+        return serve_stdio(stdin, stdout, server, ordered=True)
 
 
 def record(**fields):
@@ -125,10 +125,10 @@ class TestSessionAffinityAndCaching:
         assert [r["theory"] for r in responses] == ["incnat", "bitvec", "incnat", "bitvec"]
         assert pool.theories() == ["bitvec", "incnat"]
 
-    def test_pool_reuse_across_batches(self):
-        pool = ShardedSessionPool(stripes=1)
-        run_batch_lines([record(op="norm", term="inc(x)*; x > 1")], pool=pool)
-        _, pool = run_batch_lines([record(op="norm", term="inc(x)*; x > 1")], pool=pool)
+    def test_returned_pool_holds_the_batch_sessions(self):
+        line = record(op="norm", term="inc(x)*; x > 1")
+        _, pool = run_batch_lines([line, line])
+        assert pool.stripes == 1
         assert pool.session("incnat").caches.norm.stats.hits >= 1
 
     JOBS_LINES = [
@@ -154,12 +154,10 @@ class TestSessionAffinityAndCaching:
 
 class TestControlOps:
     def test_stats_op(self):
-        pool = ShardedSessionPool(stripes=1)
-        run_batch_lines([record(op="sat", pred="x > 1")], pool=pool)
-        responses, _ = run_batch_lines([record(op="stats")], pool=pool)
-        assert responses[0]["ok"]
-        assert "incnat" in responses[0]["result"]
-        assert "server" in responses[0]["result"]
+        responses, _ = run_batch_lines([record(op="sat", pred="x > 1"), record(op="stats")])
+        assert responses[1]["ok"]
+        assert "incnat" in responses[1]["result"]
+        assert "server" in responses[1]["result"]
 
     def test_trailing_stats_and_metrics_count_every_earlier_query(self):
         queries = [record(op="sat", pred=f"x > {i}") for i in range(12)]
@@ -329,13 +327,11 @@ class TestPoolStatsSharedTables:
     (bugfix: per-session totals used to re-count the shared table)."""
 
     def test_shared_deriv_reported_once(self):
-        pool = ShardedSessionPool(stripes=1)
-        run_batch_lines(
+        _, pool = run_batch_lines(
             [
                 record(op="equiv", theory="incnat", left="inc(x); x > 1", right="x > 0; inc(x)"),
                 record(op="equiv", theory="bitvec", left="a := T; a = T", right="a := T"),
             ],
-            pool=pool,
         )
         stats = pool.stats()
         assert "shared" in stats
@@ -346,10 +342,8 @@ class TestPoolStatsSharedTables:
     def test_per_session_totals_exclude_shared_table(self):
         from repro.engine.cache import DERIVATIVE_CACHE
 
-        pool = ShardedSessionPool(stripes=1)
-        run_batch_lines(
+        _, pool = run_batch_lines(
             [record(op="equiv", theory="incnat", left="inc(x); x > 1", right="x > 0; inc(x)")],
-            pool=pool,
         )
         stats = pool.stats()
         session_stats = pool.session("incnat").stats()  # direct, shared included
@@ -372,12 +366,6 @@ class TestSignatureFieldsInProtocol:
         """The cell enumerator is a test oracle, not a batch option."""
         with pytest.raises(TypeError):
             run_batch_lines([record(op="sat", pred="x > 1")], cell_search="enumerate")
-
-    def test_explicit_pool_conflicting_cell_search_rejected(self):
-        pool = ShardedSessionPool(stripes=1)
-        with pytest.raises(TypeError):
-            run_batch_lines([], pool=pool, cell_search="enumerate")
-        assert run_batch_lines([], pool=pool)[1] is pool
 
 
 class TestSetAndMapPresets:

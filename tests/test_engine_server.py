@@ -31,7 +31,8 @@ from repro.theories import build_theory
 
 def serve(stdin, stdout):
     """One request at a time, answered in input order."""
-    return serve_stdio(stdin, stdout, ordered=True, workers=1)
+    with QueryServer(workers=1) as server:
+        return serve_stdio(stdin, stdout, server, ordered=True)
 
 
 def record(**fields):
@@ -152,7 +153,8 @@ class TestScheduling:
             record(op="sat", pred="x > 2"),  # line 2
         ]))
         stdout = io.StringIO()
-        served = serve_stdio(stdin, stdout, workers=2)
+        with QueryServer(workers=2) as server:
+            served = serve_stdio(stdin, stdout, server)
         replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
         assert served == 2
         assert sorted(r["id"] for r in replies) == [1, 2]
@@ -160,13 +162,12 @@ class TestScheduling:
     def test_striping_spreads_a_hot_theory(self):
         # 12 distinct incnat queries over 4 stripes: more than one stripe
         # session must end up doing work (content-hash affinity spreads them).
-        pool = ShardedSessionPool(stripes=4)
-        with QueryServer(workers=4, pool=pool) as server:
+        with QueryServer(workers=4, stripes=4) as server:
             sink = _ListSink()
             for i in range(12):
                 server.submit_line(record(op="sat", pred=f"x > {i}"), sink)
             server.wait_idle()
-        assert pool.stats()["incnat"]["stripes"] > 1
+        assert server.pool.stats()["incnat"]["stripes"] > 1
 
     def test_affinity_repeated_query_hits_cache(self):
         sink = _ListSink()
@@ -304,7 +305,8 @@ class TestDrain:
         lines = [_equiv(i) for i in range(6)] + [record(op="quit")]
         stdin = io.StringIO("\n".join(lines))
         stdout = io.StringIO()
-        served = serve_stdio(stdin, stdout, workers=3)
+        with QueryServer(workers=3) as server:
+            served = serve_stdio(stdin, stdout, server)
         replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
         assert served == 6
         assert len(replies) == 6
@@ -325,7 +327,8 @@ class TestDrain:
             record(op="quit"),
         ]))
         stdout = io.StringIO()
-        serve_stdio(stdin, stdout, workers=2)
+        with QueryServer(workers=2) as server:
+            serve_stdio(stdin, stdout, server)
         # Ask a fresh stream for stats after the work drained.
         server = QueryServer(workers=2)
         with server:
@@ -343,7 +346,7 @@ class TestDrain:
 
 class TestSocketMode:
     def test_concurrent_multi_client_sessions(self):
-        with SocketServer(port=0, workers=4) as srv:
+        with SocketServer(QueryServer(workers=4), port=0) as srv:
             results = {}
 
             def client(n):
@@ -364,7 +367,7 @@ class TestSocketMode:
             assert all(r["ok"] for r in replies)
 
     def test_quit_is_connection_scoped(self):
-        with SocketServer(port=0, workers=2) as srv:
+        with SocketServer(QueryServer(workers=2), port=0) as srv:
             with SocketClient("127.0.0.1", srv.port) as first:
                 assert first.ask([]) == []  # quit: drained and closed...
 
@@ -375,7 +378,7 @@ class TestSocketMode:
     def test_socket_out_of_order_and_ordered(self):
         for ordered, expected in ((False, ["fast", "slow"]), (True, ["slow", "fast"])):
             query_server = QueryServer(workers=2, theory_factory=slow_factory(0.15))
-            with SocketServer(port=0, ordered=ordered, server=query_server) as srv:
+            with SocketServer(query_server, port=0, ordered=ordered) as srv:
                 slow = _equiv(1, id="slow")
                 fast = _fast_line_on_other_worker(query_server, slow, id="fast")
                 with SocketClient("127.0.0.1", srv.port) as conn:
@@ -546,8 +549,10 @@ class TestProcessWorkerInternalError:
             record(op="sat", id="b", pred="x > 1"),
         ]) + "\n")
         stdout = io.StringIO()
-        serve_stdio(stdin, stdout, ordered=True, workers=1, backend="process",
-                    theory_factory_spec="repro.engine.testing:oracle_latency_factory")
+        with QueryServer(workers=1, backend="process",
+                         theory_factory_spec="repro.engine.testing:oracle_latency_factory") \
+                as server:
+            serve_stdio(stdin, stdout, server, ordered=True)
         replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
         assert [(r["id"], r["ok"], r.get("error_code")) for r in replies] == [
             ("a", False, "internal_error"),

@@ -79,13 +79,14 @@ class TestDeeplyNestedJsonLine:
 
     def test_stdio_serve(self):
         stdout = io.StringIO()
-        serve_stdio(io.StringIO(DEEP_JSON + "\n" + NEXT + "\n"), stdout,
-                    ordered=True, workers=1)
+        with QueryServer(workers=1) as server:
+            serve_stdio(io.StringIO(DEEP_JSON + "\n" + NEXT + "\n"), stdout, server,
+                        ordered=True)
         replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
         _assert_malformed_then_answered(replies, 0)
 
     def test_socket_server(self):
-        with SocketServer(port=0, workers=1, ordered=True) as server:
+        with SocketServer(QueryServer(workers=1), port=0, ordered=True) as server:
             with SocketClient("127.0.0.1", server.port, io_timeout=30.0) as client:
                 client.send_line(DEEP_JSON)
                 client.send_line(NEXT)
@@ -93,7 +94,7 @@ class TestDeeplyNestedJsonLine:
         _assert_malformed_then_answered(replies, 0)
 
     def test_router(self):
-        with SocketServer(port=0, workers=1) as backend:
+        with SocketServer(QueryServer(workers=1), port=0) as backend:
             router = Router([("127.0.0.1", backend.port)], probe_interval=60.0)
             router.start()
             try:

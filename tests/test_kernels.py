@@ -447,10 +447,8 @@ class TestWalkKernelPlumbing:
                     != accepts_word(cex.right_actions, cex.word)
 
     def test_batch_runner_pool_conflict(self):
-        pool = ShardedSessionPool(stripes=1)
         with pytest.raises(TypeError):
-            run_batch_lines([], pool=pool, walk_kernel="flat")
-        assert run_batch_lines([], pool=pool)[1] is pool
+            run_batch_lines([], walk_kernel="flat")
 
     def test_session_pool_builds_matching_sessions(self):
         pool = ShardedSessionPool(stripes=1, budget=1234)

@@ -5,6 +5,7 @@ import pytest
 from repro.core import terms as T
 from repro.core.kmt import KMT
 from repro.core.normalform import NormalForm
+from repro.core.pushback import normalize_with_stats
 from repro.theories.bitvec import BitVecTheory
 from repro.theories.incnat import Gt, IncNatTheory, Incr
 from repro.utils.errors import TheoryError
@@ -47,9 +48,14 @@ class TestDerivedOperations:
         assert isinstance(nf, NormalForm)
 
     def test_normalize_with_stats(self, kmt_incnat):
-        nf, stats = kmt_incnat.normalize_with_stats(kmt_incnat.parse("inc(x)*; x > 1"))
+        # The session's step counter (what ``kmt norm`` reports) matches one
+        # uncached pushback run on the same term.
+        term = kmt_incnat.parse("inc(x)*; x > 1")
+        nf, stats = normalize_with_stats(term, kmt_incnat.theory)
+        assert kmt_incnat.normalize(term) == nf
         assert len(nf) == 3
         assert stats.steps > 0
+        assert kmt_incnat.stats()["session"]["normalization_steps"] == stats.steps
 
     def test_pretty_round(self, kmt_incnat):
         term = kmt_incnat.parse("inc(x); x > 1")

@@ -93,8 +93,7 @@ class TestRunQuery:
             return execute(worker_index, request)
 
         server.backend.execute = spy
-        serve_stdio(io.StringIO(record(op="sat", pred="x > 0") + "\n"), stdout,
-                    server=server)
+        serve_stdio(io.StringIO(record(op="sat", pred="x > 0") + "\n"), stdout, server)
         server.shutdown()
         assert forced == [True]
         (response,) = _responses(stdout)
@@ -178,13 +177,14 @@ class TestBatchRunnerObservability:
 
 
 class TestOrderedServeObservability:
-    """``serve_stdio(ordered=True, workers=1)``: one request at a time."""
+    """``serve_stdio(ordered=True)`` on one worker: one request at a time."""
 
     def test_trace_over_ordered_serve(self):
         stdin = io.StringIO(record(op="equiv", left="inc(x); x > 1",
                                    right="x > 0; inc(x)", trace=True, id="q") + "\n")
         stdout = io.StringIO()
-        serve_stdio(stdin, stdout, ordered=True, workers=1, default_theory="incnat")
+        with QueryServer(workers=1, default_theory="incnat") as server:
+            serve_stdio(stdin, stdout, server, ordered=True)
         (response,) = _responses(stdout)
         _assert_trace_consistent(response["trace"])
 
@@ -194,7 +194,7 @@ class TestOrderedServeObservability:
         stdin = io.StringIO(record(op="sat", pred="x > 0", id="q") + "\n")
         stdout = io.StringIO()
         server = QueryServer(workers=1, default_theory="incnat", slow_query_ms=0.0)
-        serve_stdio(stdin, stdout, ordered=True, server=server)
+        serve_stdio(stdin, stdout, server, ordered=True)
         server.shutdown(drain=True)
         (response,) = _responses(stdout)
         assert "trace" not in response
@@ -210,7 +210,7 @@ class TestOrderedServeObservability:
 def _serve_requests(server, lines):
     stdin = io.StringIO("\n".join(lines) + "\n")
     stdout = io.StringIO()
-    serve_stdio(stdin, stdout, server=server)
+    serve_stdio(stdin, stdout, server)
     return {r.get("id"): r for r in _responses(stdout)}
 
 
@@ -314,10 +314,11 @@ class TestServerObservability:
         # time.sleep(inf) in the latency wrapper raises OverflowError.
         monkeypatch.setenv("KMT_TEST_ORACLE_DELAY_MS", "inf")
         stdout = io.StringIO()
-        serve_stdio(io.StringIO(record(op="equiv", id="a", left="x > 1; inc(x)",
-                                       right="inc(x)") + "\n"),
-                    stdout, workers=1, backend=backend,
-                    theory_factory_spec="repro.engine.testing:oracle_latency_factory")
+        with QueryServer(workers=1, backend=backend,
+                         theory_factory_spec="repro.engine.testing:oracle_latency_factory") \
+                as server:
+            serve_stdio(io.StringIO(record(op="equiv", id="a", left="x > 1; inc(x)",
+                                           right="inc(x)") + "\n"), stdout, server)
         (response,) = _responses(stdout)
         assert response["error_code"] == "internal_error"
         events = [json.loads(line) for line in path.read_text().splitlines()]

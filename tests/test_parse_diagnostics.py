@@ -125,9 +125,9 @@ class TestCoreParserDiagnostics:
 
 
 class TestProgramParserDiagnostics:
-    def test_error_inside_guard_reanchored_to_program(self, nat):
-        # The guard is parsed by the core grammar on a slice; the diagnostic
-        # must still point into the full multi-line program source.
+    def test_error_inside_guard_points_into_program(self, nat):
+        # The guard is read from the program's own token stream, so the
+        # diagnostic points into the full multi-line program source.
         text = ("assume x > 1;\n"
                 "while (x ? 3) {\n"
                 "    inc(x);\n"
@@ -139,7 +139,7 @@ class TestProgramParserDiagnostics:
         assert (error.line, error.column) == (2, 10)
         assert "  | while (x ? 3) {" in str(error)
 
-    def test_error_inside_assume_reanchored(self, nat):
+    def test_error_inside_assume_points_into_program(self, nat):
         text = "skip;\nskip;\nassume x >> 1;\n"
         with pytest.raises(ParseError) as exc:
             parse_program(text, nat)

@@ -32,6 +32,7 @@ from repro.engine.router import (
     parse_backends,
 )
 from repro.engine.server import (
+    QueryServer,
     ResponseSink,
     SocketServer,
     _affinity_stripe,
@@ -406,7 +407,8 @@ def _wait_for(predicate, timeout=10.0, message="condition"):
 
 @pytest.fixture
 def two_backends():
-    with SocketServer(port=0, workers=2) as a, SocketServer(port=0, workers=2) as b:
+    with SocketServer(QueryServer(workers=2), port=0) as a, \
+            SocketServer(QueryServer(workers=2), port=0) as b:
         router = Router([("127.0.0.1", a.port), ("127.0.0.1", b.port)],
                         probe_interval=60.0)
         router.start()
@@ -501,7 +503,7 @@ class TestRouterIntegration:
     def test_failover_retries_on_next_replica(self):
         """A backend dropping mid-flight costs a retry, never an id."""
         flaky = ScriptedBackend("flaky")
-        with SocketServer(port=0, workers=2) as real:
+        with SocketServer(QueryServer(workers=2), port=0) as real:
             router = Router([("127.0.0.1", real.port), (flaky.host, flaky.port)],
                             probe_interval=60.0)
             router.start()

@@ -282,7 +282,8 @@ def run_path_server(lines, backend, workers=3):
     stdin = io.StringIO("\n".join(lines) + "\n")
     stdout = io.StringIO()
     with fresh_derivative_cache():
-        serve_stdio(stdin, stdout, workers=workers, backend=backend)
+        with QueryServer(workers=workers, backend=backend) as server:
+            serve_stdio(stdin, stdout, server)
     return [json.loads(line) for line in stdout.getvalue().splitlines()]
 
 
@@ -820,7 +821,8 @@ class TestBackendParity:
             record(op="quit"),
         ]))
         stdout = io.StringIO()
-        served = serve_stdio(stdin, stdout, workers=2, backend=backend)
+        with QueryServer(workers=2, backend=backend) as server:
+            served = serve_stdio(stdin, stdout, server)
         replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
         assert served == 2
         assert sorted(reply["id"] for reply in replies) == [1, 2]
@@ -848,7 +850,7 @@ class TestProcessBackendSpecifics:
         from repro.engine.client import SocketClient
 
         query_server = QueryServer(workers=2, backend="process")
-        with SocketServer(port=0, server=query_server) as srv:
+        with SocketServer(query_server, port=0) as srv:
             with SocketClient("127.0.0.1", srv.port) as conn:
                 replies = conn.ask([{"op": "sat", "pred": f"x > {i}", "id": f"s{i}"}
                                     for i in range(3)])
@@ -858,10 +860,6 @@ class TestProcessBackendSpecifics:
     def test_in_process_injection_is_rejected(self):
         with pytest.raises(ValueError):
             QueryServer(backend="process", theory_factory=build_theory)
-        from repro.engine.server import ShardedSessionPool
-
-        with pytest.raises(ValueError):
-            QueryServer(backend="process", pool=ShardedSessionPool())
         with pytest.raises(ValueError):
             QueryServer(backend="bogus")
 
