@@ -52,17 +52,18 @@ def _make_kmt(args):
     return KMT(build_theory(args.theory), budget=args.budget)
 
 
-def _open_text(path):
-    """Open a file argument for reading; an unreadable one is a usage error."""
+def _open_file(path, binary=False):
+    """Open a file argument for reading (UTF-8 text, or bytes with ``binary``);
+    an unreadable one is a usage error."""
     try:
-        return open(path, "r", encoding="utf-8")
+        return open(path, "rb") if binary else open(path, "r", encoding="utf-8")
     except OSError as error:
         raise KmtError(f"cannot read {path}: {error.strerror or error}") from None
 
 
 def _read_text(path):
     """The whole text of a file argument; undecodable text is a usage error."""
-    with _open_text(path) as handle:
+    with _open_file(path) as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as error:
@@ -227,8 +228,13 @@ def cmd_batch(args):
     # The input is streamed into the server one line at a time instead of
     # readlines() — no duplicate raw-text buffer for `kmt batch -` on a large
     # pipe.  (Responses are still materialized: the batch contract answers
-    # strictly in input order after executing everything.)
-    source = contextlib.nullcontext(sys.stdin) if args.file == "-" else _open_text(args.file)
+    # strictly in input order after executing everything.)  Lines stay bytes
+    # until the protocol decodes each one on its own, so a line that is not
+    # UTF-8 gets one malformed_request answer instead of ending the stream.
+    if args.file == "-":
+        source = contextlib.nullcontext(getattr(sys.stdin, "buffer", sys.stdin))
+    else:
+        source = _open_file(args.file, binary=True)
     started = time.perf_counter()
     with source as lines:
         responses, pool = run_batch_lines(

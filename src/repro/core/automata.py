@@ -13,6 +13,7 @@ lives in the reference oracle, :mod:`repro.core.oracle`.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 from repro.core import terms as T
@@ -167,18 +168,14 @@ def _derivative_raw(m, pi):
 
 
 # Memo tables for the primitive-action alphabets.  Keys are the hash-consed
-# terms themselves (structurally equal nodes are one object, and even after a
-# ``clear_intern_table`` a re-built node still compares equal to the old key,
-# so entries never go stale).  Without them every compilation would re-walk
-# its term and re-sort the alphabet by ``repr``.  Each table is capped: a
-# long-lived server streaming ever-new terms must not grow them without
-# bound, so on overflow a table is simply reset — hot entries re-memoize on
-# next use, which is cheaper machinery than a full LRU for what is a
-# pure-function memo.
-_ALPHABET_CACHE_LIMIT = 1 << 16
-
-_ALPHA_CACHE = {}       # restricted action -> frozenset of primitive actions
-_SIGMA_CACHE = {}       # restricted action -> tuple sorted in canonical order
+# terms themselves, held weakly: an entry lives exactly as long as its term,
+# so a long-lived server streaming ever-new terms keeps only the alphabets of
+# the terms something else still holds.  (Even after a
+# ``clear_intern_table`` a re-built node still compares equal to the old
+# key, so entries never go stale.)  Without them every compilation would
+# re-walk its term and re-sort the alphabet by ``repr``.
+_ALPHA_CACHE = weakref.WeakKeyDictionary()  # restricted action -> frozenset of primitive actions
+_SIGMA_CACHE = weakref.WeakKeyDictionary()  # restricted action -> tuple sorted in canonical order
 
 
 def clear_alphabet_caches():
@@ -187,17 +184,10 @@ def clear_alphabet_caches():
     _SIGMA_CACHE.clear()
 
 
-def _memo_capped(cache, key, value):
-    if len(cache) >= _ALPHABET_CACHE_LIMIT:
-        cache.clear()
-    cache[key] = value
-    return value
-
-
 def _alphabet_of(m):
     cached = _ALPHA_CACHE.get(m)
     if cached is None:
-        cached = _memo_capped(_ALPHA_CACHE, m, frozenset(T.primitive_actions(m)))
+        cached = _ALPHA_CACHE[m] = frozenset(T.primitive_actions(m))
     return cached
 
 
@@ -210,9 +200,7 @@ def sorted_alphabet(m):
     """
     cached = _SIGMA_CACHE.get(m)
     if cached is None:
-        cached = _memo_capped(
-            _SIGMA_CACHE, m, tuple(sorted(_alphabet_of(m), key=repr))
-        )
+        cached = _SIGMA_CACHE[m] = tuple(sorted(_alphabet_of(m), key=repr))
     return cached
 
 

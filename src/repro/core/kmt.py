@@ -19,7 +19,8 @@ One object owns all of it, and keeps its work between calls:
   shared with the ``EquivalenceChecker`` (which decides already-normalized
   terms only) and with the automata module's derivative memo;
 * one persistent ``Normalizer`` behind the ``norm`` table, whose pushback
-  memos survive across queries (its stats and step budget reset per query);
+  memos, stats and step budget start fresh for each normalization (answers
+  that outlive a query live in the bounded tables);
 * the ``source`` table in front of the parser, so a repeated request reaches
   its first memo without re-parsing any of its text fields.
 
@@ -350,7 +351,9 @@ class KMT:
             # once above; falls as the LRU evicts).
             "aut_bytes": out["aut_bytes"],
             "pb_star_memo": len(self._normalizer._pb_star_cache),
-            "pb_prim_memo": len(self._normalizer._pb_prim_cache),
+            # Theory push_back calls of the last normalization; the PB• memo
+            # holds their results.
+            "pb_prim_memo": self._normalizer.stats.prim_pushbacks,
         }
         return out
 

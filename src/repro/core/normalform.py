@@ -30,9 +30,30 @@ def canonicalize_test(pred):
     part of the "smart constructor" optimization of Section 4.1.  Only the
     top-level conjunction is touched; the factors themselves are left alone so
     the maximal-subterm machinery sees the same factor set.
+
+    The result is cached in the guard's own slot, so each conjunction is
+    canonicalized once while it lives.  The slot is only read and written
+    with smart constructors on: with them off the same factors rebuild into
+    a differently shaped conjunction.
     """
     if not isinstance(pred, T.PAnd):
         return pred
+    if not T.CONFIG.smart_constructors:
+        return _canonical_conjunction(pred)
+    cached = pred._canonical
+    if cached is None:
+        result = _canonical_conjunction(pred)
+        pred._canonical = _ALREADY_CANONICAL if result is pred else result
+        return result
+    return pred if cached is _ALREADY_CANONICAL else cached
+
+
+#: What a canonical guard's slot holds instead of the guard itself, which
+#: would make a reference cycle that only the cycle collector frees.
+_ALREADY_CANONICAL = object()
+
+
+def _canonical_conjunction(pred):
     factors = []
     stack = [pred]
     while stack:
@@ -77,6 +98,16 @@ class NormalForm:
             cleaned.add((test, action))
         self.pairs = frozenset(cleaned)
         self._hash = None
+
+    @classmethod
+    def _of_canonical(cls, pairs):
+        """A normal form of pairs that already have canonical, non-zero tests
+        and restricted actions, e.g. the pairs of other normal forms: nothing
+        is re-checked or re-canonicalized."""
+        nf = cls.__new__(cls)
+        nf.pairs = frozenset(pairs)
+        nf._hash = None
+        return nf
 
     # ------------------------------------------------------------------
     # constructors
@@ -153,7 +184,7 @@ class NormalForm:
     # ------------------------------------------------------------------
     def union(self, other):
         """Parallel composition of normal forms (just joining the sums)."""
-        return NormalForm(self.pairs | other.pairs, validate=False)
+        return NormalForm._of_canonical(self.pairs | other.pairs)
 
     def prefix_test(self, pred):
         """The normal form ``pred · self`` (conjoin ``pred`` onto every test)."""
@@ -166,10 +197,7 @@ class NormalForm:
         """The normal form ``self · action`` for a restricted action ``action``."""
         if not T.is_restricted(action):
             raise KmtError(f"seq_action expects a restricted action, got {action!r}")
-        return NormalForm(
-            {(test, T.tseq(m, action)) for test, m in self.pairs},
-            validate=False,
-        )
+        return NormalForm._of_canonical((test, T.tseq(m, action)) for test, m in self.pairs)
 
     def to_term(self):
         """Convert back to an ordinary KAT term (the sum of its pairs)."""

@@ -12,8 +12,9 @@ Lemma 3.2).
 
 Because ``sub`` can be moderately expensive for theories with large subterm
 sets (IncNat's ``x > n`` has ``n+1`` subterms) the computations are memoized
-per :class:`OrderingContext`; the pushback engine allocates one context per
-normalization run.
+per :class:`OrderingContext`; the pushback engine starts a fresh context for
+each normalization run (``Normalizer.reset_stats``), so the tables never
+outlive it.
 """
 
 from __future__ import annotations

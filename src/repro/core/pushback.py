@@ -25,6 +25,8 @@ relation ``push_back(pi, alpha)`` (rule ``Prim``); everything else is generic.
 Termination is Theorem 3.5 of the paper, but the ``Denest`` rule can blow up
 doubly-exponentially (the Fig. 9 timeout row).  A configurable *step budget*
 turns that blow-up into a :class:`NormalizationBudgetExceeded` exception.
+Every call of a relation is one step, memo hits included: a PB• or PB* memo
+hit costs one step, not the work it saves.
 """
 
 from __future__ import annotations
@@ -81,23 +83,29 @@ class Normalizer:
         #: Mutable — a long-lived session normalizer sets it per query.
         self.cancel = cancel
         self.stats = NormalizationStats()
+        self._pb_cache = {}
         self._pb_star_cache = {}
-        self._pb_prim_cache = {}
         self._star_in_progress = set()
 
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
     def reset_stats(self):
-        """Start a fresh stats window (and budget) while keeping memo tables.
+        """Start a fresh stats window, budget and set of memos.
 
         A long-lived normalizer — the engine's per-session instance — calls
-        this between queries so the step budget applies per query rather than
-        to the session's lifetime, while ``_pb_star_cache`` / ``_pb_prim_cache``
-        keep amortizing work across queries.  Returns the previous stats.
+        this before each normalization, so the step budget applies per
+        normalization rather than to the session's lifetime.  The memos
+        (PB•, PB* and the ordering context's tables) are per normalization
+        too: they start empty here and hold only the last run's entries, so
+        the step budget bounds them; answers that outlive a query live in the
+        session's LRU tables.  Returns the previous stats.
         """
         previous = self.stats
         self.stats = NormalizationStats()
+        self.ctx = OrderingContext(self.theory)
+        self._pb_cache = {}
+        self._pb_star_cache = {}
         return previous
 
     def _tick(self):
@@ -142,16 +150,19 @@ class Normalizer:
     # ------------------------------------------------------------------
     # PBJ: sequential composition of normal forms
     # ------------------------------------------------------------------
+    # The PBJ, PBR and PBT sums collect the pairs of their summands into one
+    # set: every summand is a normal form already, so its pairs are canonical
+    # and need no second pass.
     def pb_join(self, x, y):
         """``x · y  PBJ  z`` — compose two normal forms sequentially."""
         self._tick()
-        out = NormalForm.zero()
+        out = set()
+        y_pairs = y.sorted_pairs()
         for a_i, m_i in x.sorted_pairs():
-            for b_j, n_j in y.sorted_pairs():
+            for b_j, n_j in y_pairs:
                 pushed = self.pb_test_action(m_i, b_j)        # m_i · b_j PB• x_ij
-                contribution = pushed.seq_action(n_j).prefix_test(a_i)
-                out = out.union(contribution)
-        return self._record(out)
+                out |= pushed.seq_action(n_j).prefix_test(a_i).pairs
+        return self._record(NormalForm._of_canonical(out))
 
     # ------------------------------------------------------------------
     # PBR: push a normal form back through a restricted action
@@ -159,11 +170,11 @@ class Normalizer:
     def pb_restricted(self, m, x):
         """``m · x  PBR  y`` for a restricted action ``m`` and normal form ``x``."""
         self._tick()
-        out = NormalForm.zero()
+        out = set()
         for a_i, n_i in x.sorted_pairs():
             pushed = self.pb_test_action(m, a_i)
-            out = out.union(pushed.seq_action(n_i))
-        return self._record(out)
+            out |= pushed.seq_action(n_i).pairs
+        return self._record(NormalForm._of_canonical(out))
 
     # ------------------------------------------------------------------
     # PBT: push a test back through a normal form
@@ -171,53 +182,65 @@ class Normalizer:
     def pb_test(self, x, a):
         """``x · a  PBT  y`` for a normal form ``x`` and a test ``a``."""
         self._tick()
-        out = NormalForm.zero()
+        out = set()
         for a_i, m_i in x.sorted_pairs():
             pushed = self.pb_test_action(m_i, a)
-            out = out.union(pushed.prefix_test(a_i))
-        return self._record(out)
+            out |= pushed.prefix_test(a_i).pairs
+        return self._record(NormalForm._of_canonical(out))
 
     # ------------------------------------------------------------------
     # PB•: push a test back through a restricted action
     # ------------------------------------------------------------------
     def pb_test_action(self, m, a):
-        """``m · a  PB•  y`` for a restricted action ``m`` and a test ``a``."""
+        """``m · a  PB•  y`` for a restricted action ``m`` and a test ``a``.
+
+        Memoized on ``(m, a)`` for the current normalization; the step is
+        ticked before the lookup, so a memo hit still costs one step.
+        """
         self._tick()
+        key = (m, a)
+        result = self._pb_cache.get(key)
+        if result is not None:
+            return result
 
         # --- rules driven by the structure of the test -------------------
         if isinstance(a, T.PZero):
-            return NormalForm.zero()                                    # SeqZero
-        if isinstance(a, T.POne):
-            return self._nf_of_restricted(m)                            # SeqOne
-        if isinstance(a, T.PAnd):
+            result = NormalForm.zero()                                  # SeqZero
+        elif isinstance(a, T.POne):
+            result = self._nf_of_restricted(m)                          # SeqOne
+        elif isinstance(a, T.PAnd):
             partial = self.pb_test_action(m, a.left)                    # SeqSeqTest
-            return self._record(self.pb_test(partial, a.right))
-        if isinstance(a, T.POr):
+            result = self._record(self.pb_test(partial, a.right))
+        elif isinstance(a, T.POr):
             left = self.pb_test_action(m, a.left)                       # SeqParTest
             right = self.pb_test_action(m, a.right)
-            return self._record(left.union(right))
+            result = self._record(left.union(right))
 
         # a is now a primitive test or a negation.
         # --- rules driven by the structure of the action -----------------
-        if isinstance(m, T.TTest):
+        elif isinstance(m, T.TTest):
             if isinstance(m.pred, T.PZero):
-                return NormalForm.zero()
-            if isinstance(m.pred, T.POne):
+                result = NormalForm.zero()
+            elif isinstance(m.pred, T.POne):
                 # 1 · a == a · 1
-                return self._record(NormalForm.of_test(a))
-            raise KmtError(f"non-restricted action in pushback: {m!r}")
-        if isinstance(m, T.TSeq):
+                result = self._record(NormalForm.of_test(a))
+            else:
+                raise KmtError(f"non-restricted action in pushback: {m!r}")
+        elif isinstance(m, T.TSeq):
             inner = self.pb_test_action(m.right, a)                      # SeqSeqAction
-            return self._record(self.pb_restricted(m.left, inner))
-        if isinstance(m, T.TPlus):
+            result = self._record(self.pb_restricted(m.left, inner))
+        elif isinstance(m, T.TPlus):
             left = self.pb_test_action(m.left, a)                        # SeqParAction
             right = self.pb_test_action(m.right, a)
-            return self._record(left.union(right))
-        if isinstance(m, T.TStar):
-            return self._record(self._pb_test_through_star(m, a))
-        if isinstance(m, T.TPrim):
-            return self._record(self._pb_test_through_prim(m, a))
-        raise TypeError(f"not a Term: {m!r}")
+            result = self._record(left.union(right))
+        elif isinstance(m, T.TStar):
+            result = self._record(self._pb_test_through_star(m, a))
+        elif isinstance(m, T.TPrim):
+            result = self._record(self._pb_test_through_prim(m, a))
+        else:
+            raise TypeError(f"not a Term: {m!r}")
+        self._pb_cache[key] = result
+        return result
 
     def _nf_of_restricted(self, m):
         """The normal form ``1 · m`` of a restricted action (handles 0/1 tests)."""
@@ -230,13 +253,13 @@ class Normalizer:
         return NormalForm.of_action(m)
 
     def _pb_test_through_prim(self, m, a):
-        """Rules ``Prim`` and ``PrimNeg``: the only theory-specific step."""
+        """Rules ``Prim`` and ``PrimNeg``: the only theory-specific step.
+
+        The PB• memo already answers a repeated ``(m, a)``, so each theory
+        ``push_back`` runs once per normalization.
+        """
         pi = m.pi
         if isinstance(a, T.PPrim):
-            cache_key = (pi, a)
-            cached = self._pb_prim_cache.get(cache_key)
-            if cached is not None:
-                return cached
             self.stats.prim_pushbacks += 1
             preds = list(self.theory.push_back(pi, a.alpha))
             for p in preds:
@@ -244,9 +267,7 @@ class Normalizer:
                     raise KmtError(
                         f"theory {self.theory.name!r}.push_back must return Preds, got {p!r}"
                     )
-            result = NormalForm({(p, m) for p in preds})
-            self._pb_prim_cache[cache_key] = result
-            return result
+            return NormalForm({(p, m) for p in preds})
         if isinstance(a, T.PNot):
             inner = self.pb_test_action(m, a.arg)
             # By Lemma B.27 every action in `inner` is the primitive `m` itself,

@@ -20,6 +20,7 @@ the callbacks on the owning :class:`~repro.core.theory.Theory`.
 
 from __future__ import annotations
 
+import weakref
 
 # ---------------------------------------------------------------------------
 # configuration (ablation hooks)
@@ -54,16 +55,25 @@ class smart_constructors_disabled:
         return False
 
 
-_INTERN_TABLE = {}
+#: Structural key -> the one live node with that structure.  The table holds
+#: its nodes weakly: a node lives only as long as something else (a caller, a
+#: memo entry, a parent node) holds it, so memory follows what is still in use
+#: rather than every term ever built.
+_INTERN_TABLE = weakref.WeakValueDictionary()
 
 
 def clear_intern_table():
-    """Drop all interned nodes (used by tests to bound memory)."""
+    """Forget every interned node; for tests only.
+
+    Nodes still held elsewhere stay alive, but an equal node built afterwards
+    is a new object.  The table is weak, so nothing needs clearing to bound
+    memory.
+    """
     _INTERN_TABLE.clear()
 
 
 def _intern(node):
-    key = (node.__class__, node._key())
+    key = (node.__class__, *node._key())
     existing = _INTERN_TABLE.get(key)
     if existing is not None:
         return existing
@@ -79,7 +89,7 @@ def _intern(node):
 class Pred:
     """Base class for KAT predicates (tests)."""
 
-    __slots__ = ("_hash", "size")
+    __slots__ = ("_hash", "size", "_sort_key", "__weakref__")
 
     def _key(self):
         raise NotImplementedError
@@ -106,8 +116,14 @@ class Pred:
         raise NotImplementedError
 
     def sort_key(self):
-        """A deterministic total-order key (size first, then syntax)."""
-        return (self.size, self.pretty())
+        """A deterministic total-order key (size first, then syntax).
+
+        Computed once per node: the key only depends on the node's structure.
+        """
+        key = self._sort_key
+        if key is None:
+            key = self._sort_key = (self.size, self.pretty())
+        return key
 
     # Convenience operator overloads so examples/tests read naturally.
     def __add__(self, other):
@@ -138,7 +154,7 @@ class PZero(Pred):
     __slots__ = ()
 
     def __init__(self):
-        self._hash = None
+        self._hash = self._sort_key = None
         self.size = 1
 
     def _key(self):
@@ -154,7 +170,7 @@ class POne(Pred):
     __slots__ = ()
 
     def __init__(self):
-        self._hash = None
+        self._hash = self._sort_key = None
         self.size = 1
 
     def _key(self):
@@ -170,7 +186,7 @@ class PPrim(Pred):
     __slots__ = ("alpha",)
 
     def __init__(self, alpha):
-        self._hash = None
+        self._hash = self._sort_key = None
         self.alpha = alpha
         self.size = 1
 
@@ -187,7 +203,7 @@ class PNot(Pred):
     __slots__ = ("arg",)
 
     def __init__(self, arg):
-        self._hash = None
+        self._hash = self._sort_key = None
         self.arg = arg
         self.size = arg.size + 1
 
@@ -199,12 +215,17 @@ class PNot(Pred):
 
 
 class PAnd(Pred):
-    """Conjunction ``a ; b`` (sequencing of tests)."""
+    """Conjunction ``a ; b`` (sequencing of tests).
 
-    __slots__ = ("left", "right")
+    ``_canonical`` caches :func:`repro.core.normalform.canonicalize_test` of
+    this node; a guard that is already canonical holds a sentinel there rather
+    than itself, so the slot never makes a reference cycle.
+    """
+
+    __slots__ = ("left", "right", "_canonical")
 
     def __init__(self, left, right):
-        self._hash = None
+        self._hash = self._sort_key = self._canonical = None
         self.left = left
         self.right = right
         self.size = left.size + right.size + 1
@@ -222,7 +243,7 @@ class POr(Pred):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        self._hash = None
+        self._hash = self._sort_key = None
         self.left = left
         self.right = right
         self.size = left.size + right.size + 1
@@ -341,9 +362,14 @@ def por_all(preds):
 
 
 class Term:
-    """Base class for KAT actions."""
+    """Base class for KAT actions.
 
-    __slots__ = ("_hash", "size")
+    ``restricted`` is set at construction from the children's flags: true iff
+    the term contains no tests other than ``0`` and ``1`` (see
+    :func:`is_restricted`).
+    """
+
+    __slots__ = ("_hash", "size", "_sort_key", "restricted", "__weakref__")
 
     def _key(self):
         raise NotImplementedError
@@ -370,7 +396,11 @@ class Term:
         raise NotImplementedError
 
     def sort_key(self):
-        return (self.size, self.pretty())
+        """A deterministic total-order key (size first, then syntax), computed once."""
+        key = self._sort_key
+        if key is None:
+            key = self._sort_key = (self.size, self.pretty())
+        return key
 
     # Operator overloads mirroring the paper's syntax.
     def __add__(self, other):
@@ -397,9 +427,10 @@ class TTest(Term):
     __slots__ = ("pred",)
 
     def __init__(self, pred):
-        self._hash = None
+        self._hash = self._sort_key = None
         self.pred = pred
         self.size = pred.size
+        self.restricted = isinstance(pred, (PZero, POne))
 
     def _key(self):
         return (self.pred,)
@@ -414,9 +445,10 @@ class TPrim(Term):
     __slots__ = ("pi",)
 
     def __init__(self, pi):
-        self._hash = None
+        self._hash = self._sort_key = None
         self.pi = pi
         self.size = 1
+        self.restricted = True
 
     def _key(self):
         return (self.pi,)
@@ -431,10 +463,11 @@ class TPlus(Term):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        self._hash = None
+        self._hash = self._sort_key = None
         self.left = left
         self.right = right
         self.size = left.size + right.size + 1
+        self.restricted = left.restricted and right.restricted
 
     def _key(self):
         return (self.left, self.right)
@@ -449,10 +482,11 @@ class TSeq(Term):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        self._hash = None
+        self._hash = self._sort_key = None
         self.left = left
         self.right = right
         self.size = left.size + right.size + 1
+        self.restricted = left.restricted and right.restricted
 
     def _key(self):
         return (self.left, self.right)
@@ -467,9 +501,10 @@ class TStar(Term):
     __slots__ = ("arg",)
 
     def __init__(self, arg):
-        self._hash = None
+        self._hash = self._sort_key = None
         self.arg = arg
         self.size = arg.size + 1
+        self.restricted = arg.restricted
 
     def _key(self):
         return (self.arg,)
@@ -605,15 +640,9 @@ def is_restricted(term):
     action parts of normal forms; their denotations are regular languages over
     the primitive-action alphabet.
     """
-    if isinstance(term, TTest):
-        return isinstance(term.pred, (PZero, POne))
-    if isinstance(term, TPrim):
-        return True
-    if isinstance(term, (TPlus, TSeq)):
-        return is_restricted(term.left) and is_restricted(term.right)
-    if isinstance(term, TStar):
-        return is_restricted(term.arg)
-    raise TypeError(f"not a Term: {term!r}")
+    if not isinstance(term, Term):
+        raise TypeError(f"not a Term: {term!r}")
+    return term.restricted
 
 
 def primitive_actions(term):

@@ -82,17 +82,25 @@ ERROR_RATE_LIMITED = "rate_limited"
 def parse_request_line(raw):
     """Classify one input line of the JSONL protocol.
 
-    Returns a ``(kind, payload)`` pair:
+    ``raw`` is text, or bytes that must decode as UTF-8.  Returns a
+    ``(kind, payload)`` pair:
 
     * ``("skip", None)`` — blank line or ``#`` comment (no response);
     * ``("quit", record)`` — a well-formed ``{"op": "quit"}`` record;
     * ``("control", record)`` — ``stats`` / ``ping``;
     * ``("query", record)`` — one of :data:`QUERY_OPS`;
     * ``("error", (message, code, record))`` — malformed JSON, a non-object
-      record, or an unknown op.  ``record`` is the parsed request when one
-      exists (``{}`` otherwise) so error responses can still echo the
-      client's ``id`` — out-of-order completion depends on that.
+      record, undecodable bytes, or an unknown op.  ``record`` is the parsed
+      request when one exists (``{}`` otherwise) so error responses can
+      still echo the client's ``id`` — out-of-order completion depends on
+      that.
     """
+    if isinstance(raw, bytes):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as error:
+            return "error", (f"malformed request: not UTF-8 text ({error.reason})",
+                             ERROR_MALFORMED, {})
     line = raw.strip()
     if not line or line.startswith("#"):
         return "skip", None

@@ -369,3 +369,32 @@ class TestUnreadableFileArguments:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read ")
         assert err.count("\n") == 1
+
+
+class TestBatchUndecodableLines:
+    """A batch line that is not UTF-8 is one ``malformed_request`` answer at
+    its position; the lines around it are answered as usual."""
+
+    DATA = (b'{"op": "sat", "pred": "x > 1"}\n\xff\n'
+            b'{"op": "sat", "pred": "x > 2; ~(x > 1)"}\n')
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_one_malformed_answer(self, source, tmp_path, monkeypatch, capsys):
+        import io
+
+        if source == "file":
+            path = tmp_path / "queries.jsonl"
+            path.write_bytes(self.DATA)
+            argv = ["batch", str(path)]
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(self.DATA)))
+            argv = ["batch", "-"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        responses = [json.loads(line) for line in captured.out.splitlines()]
+        assert [response["id"] for response in responses] == [0, 1, 2]
+        assert responses[0]["result"] == {"satisfiable": True}
+        assert responses[1]["error_code"] == "malformed_request"
+        assert "not UTF-8" in responses[1]["error"]
+        assert responses[2]["result"] == {"satisfiable": False}

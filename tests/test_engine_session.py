@@ -7,6 +7,7 @@ import pytest
 from repro.core import automata
 from repro.core import terms as T
 from repro.core.kmt import KMT
+from repro.core.pushback import Normalizer
 from repro.engine.cache import EngineCaches, LRUCache
 from repro.engine.session import EngineSession
 from repro.theories import build_theory
@@ -35,10 +36,21 @@ class TestCachedNormalization:
         nf2 = session.normalize(session.parse("inc(x); x > 1"))
         assert nf1 is nf2
 
-    def test_normalizer_memo_survives_queries(self, session):
+    def test_normalizer_memos_hold_only_the_last_normalization(self, session):
         session.normalize("(inc(x))*; x > 1")
-        session.normalize("(inc(x))*; x > 2")
-        assert session.stats()["session"]["pb_star_memo"] >= 1
+        first = session.stats()["session"]
+        assert first["pb_star_memo"] >= 1 and first["pb_prim_memo"] >= 1
+        session.normalize("(inc(y))*; y > 2")
+        # Exactly what a fresh normalizer holds after the second term alone.
+        fresh = Normalizer(session.theory)
+        fresh.normalize(session.parse("(inc(y))*; y > 2"))
+        ours = session._normalizer
+        for memo in ("_pb_cache", "_pb_star_cache"):
+            assert set(getattr(ours, memo)) == set(getattr(fresh, memo)), memo
+        assert set(ours.ctx._sub_cache) == set(fresh.ctx._sub_cache)
+        second = session.stats()["session"]
+        assert second["pb_star_memo"] == len(fresh._pb_star_cache) >= 1
+        assert second["pb_prim_memo"] == fresh.stats.prim_pushbacks >= 1
 
     def test_budget_applies_per_query_not_per_session(self):
         # A session whose lifetime total exceeds the budget must keep working
@@ -274,3 +286,41 @@ class TestWarmSessionAmortizes:
         print("warm over cold: " + ", ".join(
             f"{name} {speedup:.1f}x" for name, speedup in sorted(speedups.items())))
         assert max(speedups.values()) >= 3.0, speedups
+
+
+class TestBoundedMemory:
+    """Endless distinct traffic keeps the live intern table flat: interning
+    is weak, and every other memo is either a bounded LRU or dies with the
+    nodes it is keyed on."""
+
+    SMALL = dict(norm_size=64, sat_conj_size=64, sat_pred_size=64, equiv_size=64,
+                 sig_size=64, aut_size=64, prog_size=16)
+
+    @pytest.mark.slow
+    def test_intern_table_flat_under_cold_mix(self, monkeypatch):
+        import gc
+        import itertools
+
+        from perfbench import streams
+        from repro.engine import cache as cache_module
+        from repro.engine.batch import run_query
+
+        monkeypatch.setattr(cache_module, "SOURCE_TABLE_SIZE", 32)
+        deriv = LRUCache(256, name="deriv")
+        saved = automata.get_derivative_cache()
+        automata.set_derivative_cache(deriv)
+        sessions, live = {}, {}
+        try:
+            for index, query in enumerate(itertools.islice(streams.cold_mix(1), 2000), 1):
+                name = query.record["theory"]
+                if name not in sessions:
+                    sessions[name] = KMT(build_theory(name),
+                                         caches=EngineCaches(deriv=deriv, **self.SMALL))
+                result, _ = run_query(sessions[name], dict(query.record))
+                assert all(result[key] == value for key, value in query.expect.items())
+                if index % 1000 == 0:
+                    gc.collect()
+                    live[index] = len(T._INTERN_TABLE)
+        finally:
+            automata.set_derivative_cache(saved)
+        assert live[2000] <= 1.1 * live[1000], live

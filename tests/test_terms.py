@@ -1,11 +1,19 @@
 """Unit tests for the hash-consed term language and its smart constructors."""
 
-import pytest
-from hypothesis import given
+import gc
+import weakref
 
+import pytest
+from hypothesis import given, settings
+
+from repro.core import automata
 from repro.core import terms as T
+from repro.core.kmt import KMT
+from repro.core.normalform import _canonical_conjunction, canonicalize_test
+from repro.engine.cache import LRUCache
 from repro.theories.bitvec import BoolAssign, BoolEq
-from tests.conftest import bitvec_preds, bitvec_terms
+from repro.theories.incnat import IncNatTheory
+from tests.conftest import bitvec_preds, bitvec_terms, incnat_preds, incnat_terms
 
 
 class TestPredSmartConstructors:
@@ -203,3 +211,156 @@ def _rebuild_pred(pred):
     if isinstance(pred, T.POr):
         return T.por(_rebuild_pred(pred.left), _rebuild_pred(pred.right))
     raise AssertionError(pred)
+
+
+def _rebuild(node):
+    """Rebuild a predicate or term bottom-up from fresh leaves through the
+    public constructors (under whatever smart-constructor setting is live)."""
+    if isinstance(node, (T.PZero, T.POne)):
+        return node
+    if isinstance(node, T.PPrim):
+        return T.pprim(node.alpha)
+    if isinstance(node, T.PNot):
+        return T.pnot(_rebuild(node.arg))
+    if isinstance(node, T.PAnd):
+        return T.pand(_rebuild(node.left), _rebuild(node.right))
+    if isinstance(node, T.POr):
+        return T.por(_rebuild(node.left), _rebuild(node.right))
+    if isinstance(node, T.TTest):
+        return T.ttest(_rebuild(node.pred))
+    if isinstance(node, T.TPrim):
+        return T.tprim(node.pi)
+    if isinstance(node, T.TPlus):
+        return T.tplus(_rebuild(node.left), _rebuild(node.right))
+    if isinstance(node, T.TSeq):
+        return T.tseq(_rebuild(node.left), _rebuild(node.right))
+    if isinstance(node, T.TStar):
+        return T.tstar(_rebuild(node.arg))
+    raise AssertionError(node)
+
+
+def _restricted_by_walk(term):
+    """``is_restricted`` recomputed by walking the whole term."""
+    if isinstance(term, T.TTest):
+        return isinstance(term.pred, (T.PZero, T.POne))
+    if isinstance(term, T.TPrim):
+        return True
+    if isinstance(term, (T.TPlus, T.TSeq)):
+        return _restricted_by_walk(term.left) and _restricted_by_walk(term.right)
+    return _restricted_by_walk(term.arg)
+
+
+def _subnodes(node):
+    """Every node of a predicate or term, the root included."""
+    out = [node]
+    for name in ("arg", "left", "right", "pred"):
+        child = getattr(node, name, None)
+        if child is not None:
+            out.extend(_subnodes(child))
+    return out
+
+
+class TestWeakInterning:
+    """The intern table holds nodes weakly: hash-consing identity holds for
+    every live node, and a node nothing else holds leaves the table."""
+
+    @settings(max_examples=40)
+    @given(bitvec_terms(max_leaves=6))
+    def test_equal_live_nodes_are_one_object(self, term):
+        assert _rebuild(term) is term
+        T.clear_intern_table()
+        # After a clear, nodes built afterwards hash-cons among themselves.
+        first = _rebuild(term)
+        assert first == term and _rebuild(first) is first
+        # Collecting unrelated nodes keeps every live node interned.
+        unrelated = weakref.ref(T.tseq(T.tprim(BoolAssign("zz", True)),
+                                       T.ttest(T.pprim(BoolEq("zz")))))
+        gc.collect()
+        assert unrelated() is None
+        assert _rebuild(term) is first
+        for node in _subnodes(first):
+            assert _rebuild(node) is node
+
+    def test_dropped_query_nodes_leave_the_table(self):
+        def live_query_nodes():
+            return sum("dropped" in node.pretty() for node in T._INTERN_TABLE.values())
+
+        saved = automata.get_derivative_cache()
+        # The query's automaton states go to a derivative memo that is dropped
+        # with it: the process-wide one would keep them until evicted.
+        automata.set_derivative_cache(LRUCache(64, name="deriv"))
+        try:
+            kmt = KMT(IncNatTheory(variables=("dropped",)))
+            assert kmt.equivalent("inc(dropped)*; dropped > 3",
+                                  "inc(dropped)*; inc(dropped)*; dropped > 3")
+            assert live_query_nodes() > 0
+        finally:
+            automata.set_derivative_cache(saved)
+        del kmt
+        gc.collect()
+        assert live_query_nodes() == 0
+
+    def test_canonical_guard_slot_makes_no_cycle(self):
+        a, b = T.pprim(BoolEq("cyc_a")), T.pprim(BoolEq("cyc_b"))
+        low, high = sorted((a, b), key=lambda p: p.sort_key())
+        canonical = T.pand(low, high)
+        shuffled = T.pand(high, low)
+        assert canonicalize_test(canonical) is canonical
+        assert canonicalize_test(shuffled) is canonical
+        refs = [weakref.ref(canonical), weakref.ref(shuffled)]
+        gc.disable()
+        try:
+            del canonical, shuffled
+            # Freed by reference counting alone: no cycle through the slot.
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
+class TestCachedSlotsMatchFreshComputation:
+    """``sort_key``, the canonical guard and ``restricted`` are cached on the
+    node; each must equal a fresh computation."""
+
+    @given(incnat_preds(max_leaves=6))
+    def test_pred_slots(self, pred):
+        for node in _subnodes(pred):
+            assert node.sort_key() == (node.size, node.pretty())
+            assert canonicalize_test(node) == _canonical_conjunction_or_self(node)
+
+    @given(incnat_terms(max_leaves=6))
+    def test_term_slots(self, term):
+        for node in _subnodes(term):
+            assert node.sort_key() == (node.size, node.pretty())
+            if isinstance(node, T.Term):
+                assert T.is_restricted(node) == _restricted_by_walk(node)
+
+    @given(bitvec_terms(max_leaves=6))
+    def test_slots_without_smart_constructors(self, term):
+        with T.smart_constructors_disabled():
+            raw = _rebuild(term)
+            for node in _subnodes(raw):
+                assert node.sort_key() == (node.size, node.pretty())
+                if isinstance(node, T.Term):
+                    assert T.is_restricted(node) == _restricted_by_walk(node)
+                else:
+                    assert canonicalize_test(node) == _canonical_conjunction_or_self(node)
+
+    @pytest.mark.parametrize("smart_first", [True, False])
+    def test_canonical_guard_depends_on_smart_constructors(self, smart_first):
+        a, b = T.pprim(BoolEq("slot_a")), T.pprim(BoolEq("slot_b"))
+        low, high = sorted((a, b), key=lambda p: p.sort_key())
+        guard = T.pand(high, low)
+        smart = T.pand(low, high)
+        with T.smart_constructors_disabled():
+            raw = T.pand(T.pand(T.pone(), low), high)
+        order = [True, False, True] if smart_first else [False, True, False]
+        for smart_on in order:
+            if smart_on:
+                assert canonicalize_test(guard) is smart
+            else:
+                with T.smart_constructors_disabled():
+                    assert canonicalize_test(guard) is raw
+
+
+def _canonical_conjunction_or_self(pred):
+    return _canonical_conjunction(pred) if isinstance(pred, T.PAnd) else pred
