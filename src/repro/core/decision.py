@@ -7,13 +7,12 @@ To decide ``p == q``:
    form has a definite truth value.  The paper enumerates *cells* — Boolean
    combinations of the primitive tests under the guards.  The verdict for a
    cell depends only on which summand guards it enables, so this checker
-   instead asks the DPLL(T) engine (:func:`repro.smt.dpll.enumerate_signatures`,
-   AllSAT with blocking clauses and unit propagation) for the
-   theory-realizable *guard activation signatures* — the distinct truth
-   valuations of the guards — and treats each as one region.  Cells that
-   agree on every guard are never distinguished, which collapses the
-   ``O(2^{2^n})`` blow-up the paper reports for nested sums under star down to
-   the (usually tiny) number of distinct enabled-summand sets;
+   instead enumerates the theory-realizable *guard activation signatures*
+   (:func:`repro.smt.dpll.enumerate_signatures`, AllSAT on a decision
+   diagram built for the one search) and treats each as one region.  Cells
+   that agree on every guard are never distinguished, which collapses the
+   ``O(2^{2^n})`` blow-up the paper reports for nested sums under star down
+   to the (usually tiny) number of distinct enabled-summand sets;
 3. per signature, compare the sums of enabled restricted actions as regular
    languages.  Each sum is compiled once into a minimal, canonically trimmed
    automaton (:mod:`repro.core.compile`); two sums with identical tables
@@ -23,11 +22,12 @@ To decide ``p == q``:
 
 The checker works on normal forms only: :class:`repro.core.kmt.KMT` owns
 normalization and every term-level entry point, and hands this checker the
-normal forms.  Everything here is memoized in the
+normal forms.  Every result is memoized in the
 :class:`repro.engine.cache.EngineCaches` bundle the facade passes in —
-conjunction-oracle calls, predicate satisfiability, per-pair normal-form
-verdicts, per-action-pair comparison verdicts and compiled automata (a bare
-checker builds a private one).
+predicate satisfiability, per-pair normal-form verdicts, per-action-pair
+comparison verdicts and compiled automata (a bare checker builds a private
+one).  A signature search keeps nothing: no literal set recurs within one,
+and across searches repeats are too rare to pay for a memo.
 
 The same machinery powers :meth:`EquivalenceChecker.check_inclusion_nf`
 (``p <= q`` decided per signature by product emptiness, with a shortest word
@@ -214,10 +214,10 @@ class EquivalenceChecker:
     forms for one theory.
 
     ``caches`` is the engine-layer bundle of bounded LRU memo tables
-    (:class:`repro.engine.cache.EngineCaches`): conjunction-oracle calls,
-    predicate satisfiability, normal-form verdicts, per-action-pair
-    comparison verdicts and compiled automata.  The :class:`~repro.core.kmt.KMT`
-    facade passes its own in; without one the checker builds a private bundle.
+    (:class:`repro.engine.cache.EngineCaches`): predicate satisfiability,
+    normal-form verdicts, per-action-pair comparison verdicts and compiled
+    automata.  The :class:`~repro.core.kmt.KMT` facade passes its own in;
+    without one the checker builds a private bundle.
     ``states_compiled`` counts the raw derivative states explored by this
     checker's compilations (cache hits compile nothing).
     """
@@ -279,7 +279,7 @@ class EquivalenceChecker:
                             x, y, key, cancel)
 
     def _decide(self, result_type, comparer, x, y, key, cancel):
-        search = _SignatureSearch(self.theory, x, y, self.caches.sat_conj, comparer, cancel)
+        search = _SignatureSearch(self.theory, x, y, comparer, cancel)
         counterexample = search.run()
         result = result_type(
             counterexample is None,
@@ -442,30 +442,6 @@ def _private_caches():
     return EngineCaches()
 
 
-def _memoized_conjunction_oracle(theory, memo):
-    """Wrap ``theory.satisfiable_conjunction`` with a shared memo.
-
-    ``memo`` is keyed by the *set* of literals (satisfiability is
-    order-independent).  The same conjunctions recur constantly across the
-    signature searches of sibling queries — most visibly in ``partition`` and
-    in warm engine sessions — so the memo is the caches bundle's
-    ``sat_conj`` LRU.
-    """
-
-    def satisfiable(literals):
-        if not literals:
-            return True
-        key = frozenset(literals)
-        cached = memo.get(key, _CACHE_MISS)
-        if cached is not _CACHE_MISS:
-            return cached
-        value = theory.satisfiable_conjunction(literals)
-        memo.put(key, value)
-        return value
-
-    return satisfiable
-
-
 class _MemoizedComparison:
     """A per-restricted-action-pair language comparison with a verdict memo.
 
@@ -529,25 +505,23 @@ class _MemoizedComparison:
 
 
 class _SignatureSearch:
-    """Solver-guided enumeration of guard activation signatures.
+    """One comparison of two normal forms, signature by signature.
 
-    Collects the distinct guards of both normal forms and asks the DPLL(T)
-    engine for their theory-realizable truth valuations
-    (:func:`repro.smt.dpll.enumerate_signatures`).  Every cell with the same
-    signature enables the same summands on each side, so one language
-    comparison per signature decides all of its cells at once; ``compare`` is
-    a :class:`_MemoizedComparison`.
-
-    A counterexample's cell is the (possibly partial, theory-satisfiable)
-    witness assignment returned by the enumerator; primitive tests no guard
-    depends on are genuinely irrelevant to the verdict and stay undecided.
+    Asks :func:`repro.smt.dpll.enumerate_signatures` for the realizable truth
+    valuations of the distinct guards of both normal forms; the search asks
+    ``theory.satisfiable_conjunction`` directly and leaves nothing in the
+    session.  Every cell with the same signature enables the same summands on
+    each side, so one comparison (``compare``, a :class:`_MemoizedComparison`)
+    decides all of its cells.  A counterexample's cell is the search's
+    witness: theory-satisfiable, in atom order, and partial where no guard
+    depends on a test.  Under a trace, :meth:`run` adds ``search_decisions``,
+    ``search_propagations`` and ``search_oracle_calls`` to its counters.
     """
 
-    def __init__(self, theory, x, y, sat_memo, compare, cancel=None):
+    def __init__(self, theory, x, y, compare, cancel=None):
         self.theory = theory
         self.left_pairs = x.sorted_pairs()
         self.right_pairs = y.sorted_pairs()
-        self._satisfiable = _memoized_conjunction_oracle(theory, sat_memo)
         self.cancel = cancel
         self.compare = compare
         guards = []
@@ -566,17 +540,27 @@ class _SignatureSearch:
         self.guards = guards
         self.stats = SignatureSearchStats()
         self.signatures_explored = 0
+        self.oracle_calls = 0
 
     def run(self):
         trace = current_trace()
         if trace is None:
-            return self._run()
-        with trace.span("signatures"):
-            return self._run()
+            return self._run(self.theory.satisfiable_conjunction)
 
-    def _run(self):
+        def satisfiable(literals):
+            self.oracle_calls += 1
+            return self.theory.satisfiable_conjunction(literals)
+
+        with trace.span("signatures"):
+            counterexample = self._run(satisfiable)
+        trace.count("search_decisions", self.stats.decisions)
+        trace.count("search_propagations", self.stats.propagations)
+        trace.count("search_oracle_calls", self.oracle_calls)
+        return counterexample
+
+    def _run(self, satisfiable):
         for signature, witness in enumerate_signatures(
-            self.guards, self.theory, satisfiable=self._satisfiable, stats=self.stats,
+            self.guards, self.theory, satisfiable=satisfiable, stats=self.stats,
             cancel=self.cancel,
         ):
             if self.cancel is not None:

@@ -176,7 +176,6 @@ class EngineCaches:
     table             keyed by
     ================  =====================================================
     ``norm``          term → ``NormalForm``
-    ``sat_conj``      frozenset of ``(alpha, polarity)`` literals → bool
     ``sat_pred``      predicate → bool
     ``equiv``         ``NormalForm`` pair ``(x, y)`` → result
     ``sig``           restricted-action pair ``(left, right)`` → ``(bool, word)``
@@ -195,7 +194,6 @@ class EngineCaches:
     def __init__(
         self,
         norm_size=4096,
-        sat_conj_size=16384,
         sat_pred_size=4096,
         equiv_size=8192,
         sig_size=8192,
@@ -204,7 +202,6 @@ class EngineCaches:
         deriv=None,
     ):
         self.norm = LRUCache(norm_size, name="norm")
-        self.sat_conj = LRUCache(sat_conj_size, name="sat_conj")
         self.sat_pred = LRUCache(sat_pred_size, name="sat_pred")
         self.equiv = LRUCache(equiv_size, name="equiv")
         self.sig = LRUCache(sig_size, name="sig")
@@ -215,12 +212,12 @@ class EngineCaches:
 
     # -- accounting ---------------------------------------------------------
     def all_caches(self):
-        return (self.norm, self.sat_conj, self.sat_pred, self.equiv, self.sig,
+        return (self.norm, self.sat_pred, self.equiv, self.sig,
                 self.aut, self.prog, self.source, self.deriv)
 
     def private_caches(self):
         """The tables owned by this bundle (excludes a shared derivative memo)."""
-        out = [self.norm, self.sat_conj, self.sat_pred, self.equiv, self.sig,
+        out = [self.norm, self.sat_pred, self.equiv, self.sig,
                self.aut, self.prog, self.source]
         if self.deriv is not DERIVATIVE_CACHE:
             out.append(self.deriv)

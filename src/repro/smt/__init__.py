@@ -7,7 +7,9 @@ encoding into Z3.  Z3 is not available offline, so this package provides:
 
 * :mod:`repro.smt.dpll` — a generic DPLL(T)-style search over primitive-test
   literals with partial-assignment pruning; client theories only implement a
-  conjunction-consistency check (``satisfiable_conjunction``).
+  conjunction-consistency check (``satisfiable_conjunction``); also the
+  guard-signature search of the decision procedure.
+* :mod:`repro.smt.bdd` — the per-search decision diagrams that search runs on.
 * :mod:`repro.smt.literals` — substitution/evaluation helpers shared by the
   solvers and by tests.
 * :mod:`repro.smt.natsolver` — the bounds-based conjunction solver used by the

@@ -5,9 +5,9 @@ from __future__ import annotations
 from repro.core import terms as T
 
 
-def atoms_of(pred):
-    """The distinct primitive tests occurring in a predicate, in sorted order."""
-    atoms = T.primitive_tests_of_pred(pred)
+def atoms_of(*preds):
+    """The distinct primitive tests occurring in the predicates, in sorted order."""
+    atoms = set().union(*map(T.primitive_tests_of_pred, preds))
     wrapped = [T.pprim(a) for a in atoms]
     wrapped.sort(key=lambda p: p.sort_key())
     return [p.alpha for p in wrapped]

@@ -255,7 +255,7 @@ class TestCliIntegration:
         replies = [json.loads(line) for line in captured.out.splitlines()]
         assert len(replies) == 2 and all(r["ok"] for r in replies)
         assert "2 responses (0 errors)" in captured.err
-        assert "sat_conj" in captured.err  # --stats dump
+        assert "sat_pred" in captured.err  # --stats dump
 
     def test_batch_subcommand_error_exit_code(self, tmp_path, capsys):
         from repro.cli import main

@@ -80,6 +80,19 @@ class TestRunQuery:
         # Memoized verdict: no signature search runs the second time.
         assert "signatures" not in warm["phases"]
 
+    def test_search_work_counters_are_deterministic(self):
+        request = {"op": "equiv", "left": "x > 1; inc(y) + x > 3; inc(x)",
+                   "right": "x > 2; inc(y) + y > 0; inc(x)", "trace": True}
+        counts = []
+        for _ in range(2):
+            _, trace = run_query(EngineSession(build_theory("incnat")), request)
+            counters = trace["counters"]
+            counts.append({name: counters[name] for name in
+                           ("search_decisions", "search_propagations", "search_oracle_calls")})
+        assert counts[0] == counts[1]
+        assert counts[0]["search_decisions"] > 0
+        assert counts[0]["search_oracle_calls"] >= counts[0]["search_decisions"]
+
     def test_force_trace_without_flag(self):
         """The slow-query log forces a trace by setting the record's flag;
         the client response still carries none (the scheduler strips it)."""

@@ -436,7 +436,7 @@ def make_oracle_workload(offset=0):
 
 
 def make_compute_workload(total, tag):
-    """``total`` CPU-bound requests: 7-8-wide bitvec guard sums.
+    """``total`` CPU-bound requests: 9-10-wide bitvec guard sums.
 
     Each query's signature search decides one language comparison per guard
     combination, all in-process; ``tag`` prefixes every variable name, so a
@@ -447,7 +447,7 @@ def make_compute_workload(total, tag):
     """
     lines = []
     for index in range(total):
-        width = 7 + index % 2
+        width = 9 + index % 2
         for attempt in range(64):
             prefix = f"{tag}{index}v{attempt}x"
             guards = [f"g{prefix}{j} = T; b{prefix}{j} := T" for j in range(width)]

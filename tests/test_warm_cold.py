@@ -6,7 +6,10 @@ strategies, printed to source text), interleaved with ``clear_caches()``,
 ``terms.clear_intern_table()`` and a snapshot ``export_state`` →
 ``import_state`` round trip through JSON.  After every query, the warm
 facade's :func:`~repro.engine.batch.execute_query` payload must equal a
-fresh ``KMT``'s byte for byte as sorted JSON.  The fresh facade runs on its
+fresh ``KMT``'s byte for byte as sorted JSON.  One step of every stream is a
+comparison whose ``cancel`` hook raises at the k-th signature-search
+decision: a cancelled search must leave nothing behind that changes a later
+answer.  The fresh facade runs on its
 own theory instance, so nothing but the process-wide derivative memo (a pure
 function of its key) is shared.
 
@@ -19,6 +22,7 @@ them without running anything).
 from __future__ import annotations
 
 import json
+import sys
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,18 +32,39 @@ from repro.core.kmt import KMT
 from repro.core.pretty import pretty_pred, pretty_term
 from repro.engine.batch import QUERY_OPS, execute_query
 from repro.engine.cache import EngineCaches
-from repro.utils.errors import KmtError, NormalizationBudgetExceeded
+from repro.smt import dpll
+from repro.utils.errors import KmtError, NormalizationBudgetExceeded, QueryCancelled
 
 from test_oracle_differential import BUDGET, SPECS, _terms
 
 #: Two entries per table: every table evicts within a few queries.
-TINY = dict(norm_size=2, sat_conj_size=2, sat_pred_size=2, equiv_size=2,
-            sig_size=2, aut_size=2, prog_size=2)
+TINY = dict(norm_size=2, sat_pred_size=2, equiv_size=2, sig_size=2, aut_size=2,
+            prog_size=2)
 
 #: Payload fields that legitimately depend on what the memos held.
 CACHE_DEPENDENT = ("cached", "cells_explored")
 
-MAINTENANCE = ("clear_caches", "clear_intern_table", "snapshot_round_trip")
+MAINTENANCE = ("clear_caches", "clear_intern_table", "snapshot_round_trip",
+               "cancelled_search")
+
+
+class _CancelAtDecision:
+    """A ``cancel`` hook that raises at the k-th signature-search decision.
+
+    The hook is also called from normalization, compilation and once per
+    signature; only calls from the search's decision point count.
+    """
+
+    def __init__(self, k):
+        self.left = k
+
+    def __call__(self):
+        caller = sys._getframe(1)
+        if caller.f_globals is not vars(dpll) or caller.f_code.co_name != "search":
+            return
+        if self.left == 0:
+            raise QueryCancelled("cancelled at a search decision")
+        self.left -= 1
 
 def _preds(tests):
     return st.recursive(
@@ -97,10 +122,10 @@ def _record(data, op, tests, actions):
     return record
 
 
-def _answer(kmt, record):
+def _answer(kmt, record, cancel=None):
     """``("ok", comparable payload)`` or ``(error class, message)``."""
     try:
-        payload = execute_query(kmt, record)
+        payload = execute_query(kmt, record, cancel=cancel)
     except KmtError as error:
         return type(error).__name__, str(error)
     for field in CACHE_DEPENDENT:
@@ -129,12 +154,18 @@ def test_warm_kmt_answers_like_a_fresh_one(data):
     cold_theory = SPECS[name]()[0]
     stream = data.draw(st.permutations(QUERY_OPS + MAINTENANCE), label="stream")
     for step in stream:
-        if step in MAINTENANCE:
+        cancel = None
+        if step == "cancelled_search":
+            step = data.draw(st.sampled_from(("equiv", "inclusion")), label="cancelled op")
+            cancel = _CancelAtDecision(data.draw(st.integers(0, 3), label="k"))
+        elif step in MAINTENANCE:
             _maintain(warm, step)
             continue
         record = _record(data, step, tests, actions)
+        got = _answer(warm, record, cancel)
+        if got[0] == QueryCancelled.__name__:
+            continue
         expected = _answer(KMT(cold_theory, budget=BUDGET), record)
-        got = _answer(warm, record)
         if expected[0] == NormalizationBudgetExceeded.__name__ and got[0] == "ok":
             # Memo hits skip pushback steps, so a warm facade may finish a
             # query a fresh one gives up on; it must then agree with a fresh
