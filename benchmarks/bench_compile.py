@@ -6,9 +6,9 @@ Section 5 scaling shape also used by ``bench_cell_search.py``):
 1. **Does the ``aut`` cache pay?**  Each size runs the same equivalence
    query twice through one checker + caches bundle: *cold* (every
    restricted-action sum compiled and minimized from scratch) and *warm*
-   (the equivalence/signature verdict memos are cleared so the signature
-   search and product walks genuinely re-run, but the compiled automata are
-   served from the ``aut`` LRU).  The warm run must perform **zero** new
+   (the equivalence verdict memo is cleared so the signature search and
+   product walks genuinely re-run, but the compiled automata are served
+   from the ``aut`` LRU).  The warm run must perform **zero** new
    compilations — that part is deterministic and gated in both modes — and
    the full run additionally gates the wall-clock speedup.
 
@@ -114,10 +114,9 @@ def _measure_cold_warm(theory, left, right):
         raise AssertionError("benchmark pair unexpectedly inequivalent (cold)")
     cold_states = checker.states_compiled
     cold_aut_misses = caches.aut.stats.misses
-    # Clear the verdict memos so the signature search and every product walk
+    # Clear the verdict memo so the signature search and every product walk
     # re-run; only the compiled automata (and satisfiability memos) stay warm.
     caches.equiv.clear()
-    caches.sig.clear()
     hits_before = caches.aut.stats.hits
     started = time.perf_counter()
     warm_result = checker.check_equivalent_nf(x, y)

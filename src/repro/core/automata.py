@@ -178,12 +178,6 @@ _ALPHA_CACHE = weakref.WeakKeyDictionary()  # restricted action -> frozenset of 
 _SIGMA_CACHE = weakref.WeakKeyDictionary()  # restricted action -> tuple sorted in canonical order
 
 
-def clear_alphabet_caches():
-    """Drop the alphabet memo tables (never required for correctness)."""
-    _ALPHA_CACHE.clear()
-    _SIGMA_CACHE.clear()
-
-
 def _alphabet_of(m):
     cached = _ALPHA_CACHE.get(m)
     if cached is None:

@@ -24,10 +24,10 @@ The checker works on normal forms only: :class:`repro.core.kmt.KMT` owns
 normalization and every term-level entry point, and hands this checker the
 normal forms.  Every result is memoized in the
 :class:`repro.engine.cache.EngineCaches` bundle the facade passes in —
-predicate satisfiability, per-pair normal-form verdicts, per-action-pair
-comparison verdicts and compiled automata (a bare checker builds a private
-one).  A signature search keeps nothing: no literal set recurs within one,
-and across searches repeats are too rare to pay for a memo.
+predicate satisfiability, per-pair normal-form verdicts and compiled
+automata (a bare checker builds a private one).  A signature search keeps
+nothing: no literal set or action pair recurs within one, and across
+searches repeats are too rare to pay for a memo.
 
 The same machinery powers :meth:`EquivalenceChecker.check_inclusion_nf`
 (``p <= q`` decided per signature by product emptiness, with a shortest word
@@ -162,8 +162,8 @@ class EquivalenceResult(_FrozenResult):
                  signatures_explored=0, cached=False):
         object.__setattr__(self, "equivalent", equivalent)
         object.__setattr__(self, "counterexample", counterexample)
-        # Language comparisons performed (one per un-memoized signature; one
-        # per explored cell for the reference enumerator).
+        # Language comparisons performed (one per signature whose enabled
+        # sums differ; one per explored cell for the reference enumerator).
         object.__setattr__(self, "cells_explored", cells_explored)
         # Branches abandoned because their literals were theory-inconsistent.
         object.__setattr__(self, "cells_pruned", cells_pruned)
@@ -215,9 +215,9 @@ class EquivalenceChecker:
 
     ``caches`` is the engine-layer bundle of bounded LRU memo tables
     (:class:`repro.engine.cache.EngineCaches`): predicate satisfiability,
-    normal-form verdicts, per-action-pair comparison verdicts and compiled
-    automata.  The :class:`~repro.core.kmt.KMT` facade passes its own in;
-    without one the checker builds a private bundle.
+    normal-form verdicts and compiled automata.  The
+    :class:`~repro.core.kmt.KMT` facade passes its own in; without one the
+    checker builds a private bundle.
     ``states_compiled`` counts the raw derivative states explored by this
     checker's compilations (cache hits compile nothing).
     """
@@ -251,8 +251,7 @@ class EquivalenceChecker:
         mirrored = equiv.get((y, x), _CACHE_MISS)
         if mirrored is not _CACHE_MISS and mirrored.equivalent:
             return mirrored.as_cached()
-        return self._decide(EquivalenceResult, self._comparer("equiv", cancel),
-                            x, y, key, cancel)
+        return self._decide(EquivalenceResult, flat_compare, x, y, key, cancel)
 
     # ------------------------------------------------------------------
     # inclusion
@@ -275,16 +274,24 @@ class EquivalenceChecker:
         cached = self.caches.equiv.get(key, _CACHE_MISS)
         if cached is not _CACHE_MISS:
             return cached.as_cached()
-        return self._decide(InclusionResult, self._comparer("incl", cancel),
-                            x, y, key, cancel)
+        return self._decide(InclusionResult, flat_includes, x, y, key, cancel)
 
-    def _decide(self, result_type, comparer, x, y, key, cancel):
-        search = _SignatureSearch(self.theory, x, y, comparer, cancel)
+    def _decide(self, result_type, kernel, x, y, key, cancel):
+        """Run one signature search, comparing each signature's enabled sums
+        with ``kernel`` (:func:`~repro.core.kernels.flat_compare` or
+        :func:`~repro.core.kernels.flat_includes`) on their compiled
+        automata, and memoize the verdict under ``key``."""
+
+        def compare(left, right):
+            return kernel(self._compile_cached(left, cancel),
+                          self._compile_cached(right, cancel), cancel=cancel)
+
+        search = _SignatureSearch(self.theory, x, y, compare, cancel)
         counterexample = search.run()
         result = result_type(
             counterexample is None,
             counterexample=counterexample,
-            cells_explored=comparer.comparisons,
+            cells_explored=search.comparisons,
             cells_pruned=search.stats.theory_pruned,
             signatures_explored=search.signatures_explored,
         )
@@ -359,29 +366,6 @@ class EquivalenceChecker:
         caches.aut.put(action, automaton)
         return automaton
 
-    def _comparer(self, kind, cancel):
-        """A memoized per-action-pair comparison for one query kind.
-
-        ``"equiv"`` compares languages for equality (symmetric: a positive
-        verdict for the mirrored pair is reused); ``"incl"`` for containment
-        (asymmetric).  Verdicts are memoized in the ``sig`` LRU, inclusion
-        verdicts under a tagged key so the two kinds never collide.
-        """
-        if kind == "incl":
-            def run(left, right):
-                return flat_includes(self._compile_cached(left, cancel),
-                                     self._compile_cached(right, cancel), cancel=cancel)
-
-            return _MemoizedComparison(
-                run, self.caches.sig, lambda l, r: ("incl", (l, r)), symmetric=False
-            )
-
-        def run(left, right):
-            return flat_compare(self._compile_cached(left, cancel),
-                                self._compile_cached(right, cancel), cancel=cancel)
-
-        return _MemoizedComparison(run, self.caches.sig, lambda l, r: (l, r), symmetric=True)
-
     # ------------------------------------------------------------------
     # emptiness and classing
     # ------------------------------------------------------------------
@@ -428,11 +412,6 @@ class EquivalenceChecker:
         return [members for _, members in classes]
 
 
-# ---------------------------------------------------------------------------
-# memoized comparisons
-# ---------------------------------------------------------------------------
-
-
 def _private_caches():
     """A fresh caches bundle for a checker built without one."""
     # Imported here: the engine package imports this module while it
@@ -440,63 +419,6 @@ def _private_caches():
     from repro.engine.cache import EngineCaches
 
     return EngineCaches()
-
-
-class _MemoizedComparison:
-    """A per-restricted-action-pair language comparison with a verdict memo.
-
-    ``run(left, right)`` produces the raw ``(ok, word)`` verdict; verdicts
-    are memoized in ``memo`` (the ``sig`` LRU, shared across queries) under
-    ``key_fn(left, right)``, so warm sessions skip repeated comparisons
-    entirely.  ``symmetric=True`` additionally reuses a *positive* verdict
-    for the mirrored pair (sound for equivalence: a witness word would need
-    its sides swapped, so negative verdicts are only reused in the queried
-    orientation; containment is not symmetric at all).  ``comparisons``
-    counts actual ``run`` invocations (memo misses).
-    """
-
-    __slots__ = ("run", "memo", "key_fn", "symmetric", "comparisons")
-
-    def __init__(self, run, memo, key_fn, symmetric):
-        self.run = run
-        self.memo = memo
-        self.key_fn = key_fn
-        self.symmetric = symmetric
-        self.comparisons = 0
-
-    def __call__(self, left, right):
-        if left == right:
-            # Identical (hash-consed) sums — the most common case for
-            # equivalent terms, where a signature enables the same summands
-            # on both sides.  Reflexivity answers both query kinds without
-            # compiling anything.
-            trace = current_trace()
-            if trace is not None:
-                trace.count("compare_reflexive")
-            return (True, None)
-        key = self.key_fn(left, right)
-        cached = self.memo.get(key, _CACHE_MISS)
-        if cached is not _CACHE_MISS:
-            trace = current_trace()
-            if trace is not None:
-                trace.count("compare_memo_hits")
-            return cached
-        if self.symmetric:
-            mirrored = self.memo.get(self.key_fn(right, left), _CACHE_MISS)
-            if mirrored is not _CACHE_MISS and mirrored[0]:
-                trace = current_trace()
-                if trace is not None:
-                    trace.count("compare_memo_hits")
-                return mirrored
-        self.comparisons += 1
-        trace = current_trace()
-        if trace is None:
-            verdict = self.run(left, right)
-        else:
-            with trace.span("compare"):
-                verdict = self.run(left, right)
-        self.memo.put(key, verdict)
-        return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +433,15 @@ class _SignatureSearch:
     valuations of the distinct guards of both normal forms; the search asks
     ``theory.satisfiable_conjunction`` directly and leaves nothing in the
     session.  Every cell with the same signature enables the same summands on
-    each side, so one comparison (``compare``, a :class:`_MemoizedComparison`)
-    decides all of its cells.  A counterexample's cell is the search's
-    witness: theory-satisfiable, in atom order, and partial where no guard
-    depends on a test.  Under a trace, :meth:`run` adds ``search_decisions``,
-    ``search_propagations`` and ``search_oracle_calls`` to its counters.
+    each side, so one comparison decides all of its cells:
+    ``compare(left, right)`` returns the ``(ok, word)`` verdict for the two
+    enabled sums, and ``comparisons`` counts the calls made (identical sums
+    are settled by reflexivity without one).  A counterexample's cell is the
+    search's witness: theory-satisfiable, in atom order, and partial where
+    no guard depends on a test.  Under a trace, :meth:`run` adds
+    ``search_decisions``, ``search_propagations``, ``search_oracle_calls``
+    and ``compare_reflexive`` to its counters and times each comparison in a
+    ``compare`` span.
     """
 
     def __init__(self, theory, x, y, compare, cancel=None):
@@ -540,25 +466,26 @@ class _SignatureSearch:
         self.guards = guards
         self.stats = SignatureSearchStats()
         self.signatures_explored = 0
+        self.comparisons = 0
         self.oracle_calls = 0
 
     def run(self):
         trace = current_trace()
         if trace is None:
-            return self._run(self.theory.satisfiable_conjunction)
+            return self._run(self.theory.satisfiable_conjunction, None)
 
         def satisfiable(literals):
             self.oracle_calls += 1
             return self.theory.satisfiable_conjunction(literals)
 
         with trace.span("signatures"):
-            counterexample = self._run(satisfiable)
+            counterexample = self._run(satisfiable, trace)
         trace.count("search_decisions", self.stats.decisions)
         trace.count("search_propagations", self.stats.propagations)
         trace.count("search_oracle_calls", self.oracle_calls)
         return counterexample
 
-    def _run(self, satisfiable):
+    def _run(self, satisfiable, trace):
         for signature, witness in enumerate_signatures(
             self.guards, self.theory, satisfiable=satisfiable, stats=self.stats,
             cancel=self.cancel,
@@ -566,12 +493,25 @@ class _SignatureSearch:
             if self.cancel is not None:
                 # One checkpoint per signature, after the enumerator's (oracle
                 # -heavy) work for it: the comparison below may be answered
-                # from a memo or by reflexivity without ever checking cancel.
+                # by reflexivity without ever checking cancel.
                 self.cancel()
             self.signatures_explored += 1
             left = self._enabled_sum(self.left_pairs, self.left_slots, signature)
             right = self._enabled_sum(self.right_pairs, self.right_slots, signature)
-            ok, word = self.compare(left, right)
+            if left == right:
+                # Identical (hash-consed) sums — the most common case for
+                # equivalent terms, where a signature enables the same
+                # summands on both sides.  Reflexivity answers both query
+                # kinds without compiling anything.
+                if trace is not None:
+                    trace.count("compare_reflexive")
+                continue
+            self.comparisons += 1
+            if trace is None:
+                ok, word = self.compare(left, right)
+            else:
+                with trace.span("compare"):
+                    ok, word = self.compare(left, right)
             if not ok:
                 return Counterexample(witness, left, right, word)
         return None

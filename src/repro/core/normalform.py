@@ -132,10 +132,6 @@ class NormalForm:
         """The normal form ``1 ; action`` for a restricted action."""
         return cls({(T.pone(), action)})
 
-    @classmethod
-    def of_pairs(cls, pairs):
-        return cls(pairs)
-
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------

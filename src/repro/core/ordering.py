@@ -85,12 +85,6 @@ class OrderingContext:
         self._sub_cache[pred] = result
         return result
 
-    def sub_of_set(self, preds):
-        out = set()
-        for p in preds:
-            out |= self.sub(p)
-        return frozenset(out)
-
     # ------------------------------------------------------------------
     # mt: maximal tests
     # ------------------------------------------------------------------
@@ -113,9 +107,6 @@ class OrderingContext:
                 maximal.add(b)
         return frozenset(maximal)
 
-    def mt_of_pred(self, pred):
-        return self.mt({pred})
-
     # ------------------------------------------------------------------
     # the ordering itself
     # ------------------------------------------------------------------
@@ -125,9 +116,6 @@ class OrderingContext:
         for factor in self.seqs_of_set(preds):
             out |= self.sub(factor)
         return frozenset(out)
-
-    def key_of_pred(self, pred):
-        return self.key({pred})
 
     def leq(self, xs, ys):
         """``xs`` is no larger than ``ys`` in the maximal-subterm ordering."""

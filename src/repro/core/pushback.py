@@ -143,10 +143,6 @@ class Normalizer:
             return self._record(self.pb_star(inner))                    # Star
         raise TypeError(f"not a Term: {term!r}")
 
-    def normalize_pred(self, pred):
-        """Normalize a predicate (trivially already a normal form)."""
-        return NormalForm.of_test(pred)
-
     # ------------------------------------------------------------------
     # PBJ: sequential composition of normal forms
     # ------------------------------------------------------------------

@@ -708,11 +708,6 @@ def _collect_term_prims(term, out):
         raise TypeError(f"not a Term: {term!r}")
 
 
-def term_of_pred(pred):
-    """Alias for :func:`ttest` (embed a predicate as a term)."""
-    return ttest(pred)
-
-
 def pred_of_term(term):
     """Return the predicate of an embedded test, or ``None`` otherwise."""
     if isinstance(term, TTest):

@@ -178,14 +178,13 @@ class EngineCaches:
     ``norm``          term → ``NormalForm``
     ``sat_pred``      predicate → bool
     ``equiv``         ``NormalForm`` pair ``(x, y)`` → result
-    ``sig``           restricted-action pair ``(left, right)`` → ``(bool, word)``
     ``aut``           restricted action → ``CompiledAutomaton``
     ``prog``          While-program source text → ``(WhileProgram, Term)``
     ``source``        ``(kind, text)`` → parsed ``Term`` (``"t"``) / ``Pred`` (``"p"``)
     ``deriv``         ``(action, pi)`` → derivative (shared, process-wide)
     ================  =====================================================
 
-    ``equiv`` and ``sig`` also hold inclusion verdicts, under the tagged key
+    ``equiv`` also holds inclusion verdicts, under the tagged key
     ``("incl", pair)``.  :meth:`stats` reports ``aut_bytes``, the flat-table
     footprint of the automata ``aut`` retains, summed over that table on
     each call.
@@ -196,7 +195,6 @@ class EngineCaches:
         norm_size=4096,
         sat_pred_size=4096,
         equiv_size=8192,
-        sig_size=8192,
         aut_size=4096,
         prog_size=256,
         deriv=None,
@@ -204,7 +202,6 @@ class EngineCaches:
         self.norm = LRUCache(norm_size, name="norm")
         self.sat_pred = LRUCache(sat_pred_size, name="sat_pred")
         self.equiv = LRUCache(equiv_size, name="equiv")
-        self.sig = LRUCache(sig_size, name="sig")
         self.aut = LRUCache(aut_size, name="aut")
         self.prog = LRUCache(prog_size, name="prog")
         self.source = LRUCache(SOURCE_TABLE_SIZE, name="source")
@@ -212,12 +209,12 @@ class EngineCaches:
 
     # -- accounting ---------------------------------------------------------
     def all_caches(self):
-        return (self.norm, self.sat_pred, self.equiv, self.sig,
+        return (self.norm, self.sat_pred, self.equiv,
                 self.aut, self.prog, self.source, self.deriv)
 
     def private_caches(self):
         """The tables owned by this bundle (excludes a shared derivative memo)."""
-        out = [self.norm, self.sat_pred, self.equiv, self.sig,
+        out = [self.norm, self.sat_pred, self.equiv,
                self.aut, self.prog, self.source]
         if self.deriv is not DERIVATIVE_CACHE:
             out.append(self.deriv)
@@ -265,8 +262,8 @@ class EngineCaches:
     def export_state(self, codec):
         """Serialize the persistable tables to a JSON-safe dict.
 
-        Exports every live entry of the ``norm`` / ``aut`` / ``sig`` /
-        ``equiv`` / ``prog`` tables — the expensive, replayable state.  The
+        Exports every live entry of the ``norm`` / ``aut`` / ``equiv`` /
+        ``prog`` tables — the expensive, replayable state.  The
         satisfiability memos are skipped (cheap to refill, and their keys
         carry raw theory objects), and so is ``source`` (the first repeat of
         a text after a restart re-fills it with one parse).  Entries that
@@ -311,16 +308,6 @@ class EngineCaches:
             sorted(self.aut.items_snapshot(), key=lambda item: item[0].sort_key()),
             lambda term, automaton: {"t": codec.encode_term(term),
                                      "a": codec.encode_automaton(automaton)})
-        sig_entries = encoded(
-            sorted(tagged(self.sig.items_snapshot()),
-                   key=lambda row: (row[0], row[1].sort_key(), row[2].sort_key())),
-            lambda kind, left, right, verdict: {
-                "k": kind,
-                "l": codec.encode_term(left),
-                "r": codec.encode_term(right),
-                "ok": bool(verdict[0]),
-                "w": codec.encode_word(verdict[1]),
-            })
         equiv_entries = encoded(
             sorted(tagged(self.equiv.items_snapshot()),
                    key=lambda row: (row[0], nf_sort_key(row[1]), nf_sort_key(row[2]))),
@@ -339,7 +326,6 @@ class EngineCaches:
         return {"tables": {
             "norm": norm_entries,
             "aut": aut_entries,
-            "sig": sig_entries,
             "equiv": equiv_entries,
             "prog": prog_entries,
         }}
@@ -355,7 +341,7 @@ class EngineCaches:
         tables = state.get("tables")
         if not isinstance(tables, dict):
             codec.invalid("snapshot session payload has no tables dict")
-        staged = {"norm": [], "aut": [], "sig": [], "equiv": [], "prog": []}
+        staged = {"norm": [], "aut": [], "equiv": [], "prog": []}
         for entry in tables.get("norm", ()):
             staged["norm"].append(
                 (codec.decode_term(entry["t"]), codec.decode_normal_form(entry["nf"]))
@@ -364,16 +350,6 @@ class EngineCaches:
             staged["aut"].append(
                 (codec.decode_term(entry["t"]), codec.decode_automaton(entry["a"]))
             )
-        for entry in tables.get("sig", ()):
-            kind = entry["k"]
-            if kind not in ("equiv", "incl"):
-                codec.invalid(f"unknown sig entry kind {kind!r}")
-            staged["sig"].append((
-                kind,
-                codec.decode_term(entry["l"]),
-                codec.decode_term(entry["r"]),
-                (bool(entry["ok"]), codec.decode_word(entry["w"])),
-            ))
         for entry in tables.get("equiv", ()):
             kind = entry["k"]
             if kind not in ("equiv", "incl"):
@@ -398,11 +374,6 @@ class EngineCaches:
             self.norm.put(term, nf)
         for term, automaton in staged["aut"]:
             self.aut.put(term, automaton)
-        for kind, left, right, verdict in staged["sig"]:
-            key = (left, right)
-            if kind == "incl":
-                key = ("incl", key)
-            self.sig.put(key, verdict)
         for kind, x, y, result in staged["equiv"]:
             key = (x, y)
             if kind == "incl":

@@ -1,8 +1,8 @@
 """Persistent snapshot tier: warm-start caches across restarts and respawns.
 
-Every cache the engine builds — normal forms, compiled automata, signature
-verdicts, equivalence results, compiled programs — normally dies with the
-process.  This module makes that warmth durable:
+Every cache the engine builds — normal forms, compiled automata,
+equivalence results, compiled programs — normally dies with the process.
+This module makes that warmth durable:
 
 * :class:`SnapshotCodec` — serializes one session's cache entries to
   JSON-safe data and back.  JSON cannot carry live term objects, so keys are
@@ -79,7 +79,7 @@ SNAPSHOT_VERSION = 1
 _logger = logging.getLogger("kmt.persist")
 
 #: The cache tables a snapshot persists, in install order.
-SNAPSHOT_TABLES = ("norm", "aut", "sig", "equiv", "prog")
+SNAPSHOT_TABLES = ("norm", "aut", "equiv", "prog")
 
 
 def _invalid(message):
@@ -605,8 +605,6 @@ def count_payload_entries(payload):
 def _entry_dedup_key(table, entry):
     if table in ("norm", "aut"):
         return entry.get("t")
-    if table == "sig":
-        return (entry.get("k"), entry.get("l"), entry.get("r"))
     if table == "equiv":
         return (
             entry.get("k"),
@@ -711,10 +709,6 @@ def _remap_entry(table, entry, mapping):
         automaton = dict(automaton)
         automaton["sigma"] = [ref(value) for value in automaton["sigma"]]
         entry["a"] = automaton
-    elif table == "sig":
-        entry["l"] = ref(entry.get("l"))
-        entry["r"] = ref(entry.get("r"))
-        entry["w"] = word(entry.get("w"))
     elif table == "equiv":
         entry["l"] = normal_form(entry.get("l"))
         entry["r"] = normal_form(entry.get("r"))

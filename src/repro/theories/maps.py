@@ -283,10 +283,6 @@ class MapTheory(Theory):
         return self.inner.parser_keywords()
 
     # -- convenience builders -----------------------------------------------------
-    def lookup_eq(self, map_var, key, value):
-        """The test ``map_var[key] = value`` as a predicate."""
-        return T.pprim(MapEq(map_var, key, value))
-
     def write(self, map_var, key_expr, value_expr):
         """The action ``map_var[key_expr] := value_expr`` as a term."""
         return T.tprim(MapWrite(map_var, key_expr, value_expr))

@@ -92,10 +92,6 @@ class NormalizationBudgetExceeded(KmtError):
         super().__init__(message or f"normalization exceeded its step budget of {budget}")
 
 
-class SolverError(KmtError):
-    """A satisfiability query could not be answered by the available solvers."""
-
-
 class CounterexampleBoundExceeded(KmtError):
     """A bounded counterexample search ran out of budget without a verdict.
 
@@ -142,15 +138,6 @@ class WorkerCrashed(KmtError):
     Raised inside the process execution backend when the pipe to a worker
     breaks mid-call; the supervisor converts it into a structured
     ``worker_crashed`` error response and respawns the worker.
-    """
-
-
-class BackendDown(KmtError):
-    """No reachable backend could serve a routed request.
-
-    Raised inside the cluster router when the backend a request hashes to is
-    ejected from the ring and every retry replica fails (or none is left);
-    the router converts it into a structured ``backend_down`` error response.
     """
 
 

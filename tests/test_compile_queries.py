@@ -161,11 +161,10 @@ class TestAutCache:
         compiled_cold = session.checker.states_compiled
         assert compiled_cold > 0
         assert session.caches.aut.stats.puts > 0
-        # A different query over the same restricted sums: the equivalence
-        # and signature memos are cleared so the comparison genuinely re-runs,
-        # and the automata must come from the aut LRU without recompiling.
+        # The same query again with the equivalence memo cleared, so the
+        # comparison genuinely re-runs: the automata must come from the aut
+        # LRU without recompiling.
         session.caches.equiv.clear()
-        session.caches.sig.clear()
         session.check_equivalent("(inc(x))*; x > 1", "(inc(x))*; (inc(x))*; x > 1")
         assert session.checker.states_compiled == compiled_cold
         assert session.caches.aut.stats.hits > 0

@@ -57,12 +57,12 @@ class TestHitAccounting:
         stats = caches.stats()
         assert stats["tables"]["norm"]["hits"] == 1
         assert set(stats["tables"]) == {
-            "norm", "sat_pred", "equiv", "sig", "aut", "prog", "source", "deriv"
+            "norm", "sat_pred", "equiv", "aut", "prog", "source", "deriv"
         }
         assert stats["totals"]["hits"] >= 1
         # include_shared=False leaves the process-wide derivative table out.
         private = caches.stats(include_shared=False)
-        assert set(private["tables"]) == {"norm", "sat_pred", "equiv", "sig", "aut",
+        assert set(private["tables"]) == {"norm", "sat_pred", "equiv", "aut",
                                           "prog", "source"}
 
 

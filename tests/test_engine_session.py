@@ -303,8 +303,8 @@ class TestBoundedMemory:
     is weak, and every other memo is either a bounded LRU or dies with the
     nodes it is keyed on."""
 
-    SMALL = dict(norm_size=64, sat_pred_size=64, equiv_size=64, sig_size=64,
-                 aut_size=64, prog_size=16)
+    SMALL = dict(norm_size=64, sat_pred_size=64, equiv_size=64, aut_size=64,
+                 prog_size=16)
 
     @pytest.mark.slow
     def test_intern_table_flat_under_cold_mix(self, monkeypatch):
