@@ -28,8 +28,8 @@ __all__ = ["SocketClient"]
 class SocketClient:
     """One framed JSONL connection to a ``kmt serve --socket`` endpoint.
 
-    Not thread-safe as a whole, by design: the router has one thread sending
-    and another receiving on the same connection, which is exactly the split
+    Not thread-safe as a whole, by design: the router has one thread at a
+    time sending and another receiving on the same connection, which is exactly the split
     ``send_line`` / ``recv_line`` supports (each side is single-threaded).
     ``io_timeout`` (seconds, ``None`` = block) applies to every read; writes
     use the same socket timeout.

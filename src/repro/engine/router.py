@@ -28,11 +28,12 @@ connection per backend.
   (``rate_limit`` queries/s with ``rate_burst`` headroom) refuses excess
   traffic with a ``rate_limited`` error before it costs a backend anything,
   and an integer ``"priority"`` request field (default 0, higher first)
-  lets interactive queries overtake queued bulk traffic: each backend link
-  drains its send queue highest-priority-first, while the backend's own
-  bounded intake queue provides the backpressure that makes the ordering
-  matter.  The router's global in-flight bound (``queue_limit``) turns into
-  blocking intake exactly like a single server's.
+  lets interactive queries overtake queued bulk traffic: the entries queued
+  behind a busy backend link (one whose socket is still taking an earlier
+  send) leave highest-priority-first, while the backend's own bounded
+  intake queue provides the backpressure that makes the ordering matter.
+  The router's global in-flight bound (``queue_limit``) turns into blocking
+  intake exactly like a single server's.
 
 * **Observability** — ``stats`` and ``metrics`` fan out to every live
   backend and merge (:func:`repro.engine.session.merge_pool_stats` /
@@ -45,20 +46,20 @@ connection per backend.
 The router reuses :class:`repro.engine.server.SocketServer` as its TCP front
 end by implementing the same scheduler interface (``start`` /
 ``submit_line`` / ``wait_idle`` / ``shutdown``), so per-connection reader
-threads, bounded writer queues, ordered mode and connection-scoped ``quit``
+threads, bounded writer backlogs, ordered mode and connection-scoped ``quit``
 all behave exactly as on a single server.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 import json
 import logging
 import threading
 import time
 import weakref
 import zlib
-from queue import PriorityQueue
 
 from repro.engine.batch import (
     ERROR_BACKEND_DOWN,
@@ -147,12 +148,17 @@ class ConsistentHashRing:
         self._points = [p for p, _ in keep]
         self._owners = [o for _, o in keep]
 
-    def lookup(self, key_hash):
-        """The node owning ``key_hash``; ``None`` on an empty ring."""
-        if not self._points:
+    def lookup(self, key_hash, skip=()):
+        """The first node at or clockwise of ``key_hash`` that is not in
+        ``skip`` — the owner when ``skip`` is empty; ``None`` when no node
+        is left."""
+        if self._nodes.issubset(skip):
             return None
-        index = bisect.bisect_left(self._points, key_hash & 0xFFFFFFFF)
-        return self._owners[index % len(self._points)]
+        start = bisect.bisect_left(self._points, key_hash & 0xFFFFFFFF)
+        for offset in range(len(self._points)):
+            owner = self._owners[(start + offset) % len(self._points)]
+            if owner not in skip:
+                return owner
 
     def preference(self, key_hash, limit=None):
         """Distinct nodes in clockwise order from ``key_hash``.
@@ -160,19 +166,12 @@ class ConsistentHashRing:
         The first entry is :meth:`lookup`'s answer; the rest are the failover
         order — the node a key remaps to when the ones before it leave.
         """
-        if not self._points:
-            return []
-        wanted = len(self._nodes) if limit is None else min(limit, len(self._nodes))
-        start = bisect.bisect_left(self._points, key_hash & 0xFFFFFFFF)
         nodes = []
-        seen = set()
-        for offset in range(len(self._points)):
-            owner = self._owners[(start + offset) % len(self._points)]
-            if owner not in seen:
-                seen.add(owner)
-                nodes.append(owner)
-                if len(nodes) >= wanted:
-                    break
+        while limit is None or len(nodes) < limit:
+            node = self.lookup(key_hash, skip=nodes)
+            if node is None:
+                break
+            nodes.append(node)
         return nodes
 
 
@@ -298,17 +297,24 @@ class _ControlCall:
 
 
 class _BackendLink:
-    """The router's connection to one backend: a priority send queue, one
-    multiplexed socket, a reader thread matching responses to in-flight
-    entries by router-internal id, and a probe thread that detects silent
-    death and drives rejoin.
+    """The router's connection to one backend: a priority heap of entries
+    waiting to be sent, one multiplexed socket, a reader thread matching
+    responses to in-flight entries by router-internal id, and a probe thread
+    that detects silent death and drives rejoin.
 
-    Ownership discipline: an entry in ``pending`` is owned by whichever
-    thread *pops* it — the reader (normal completion), :meth:`fail` (link
-    death: every pending entry is re-dispatched or answered ``backend_down``)
-    or the sender's error path.  Popping is atomic under ``_lock``, so an
-    entry is completed exactly once even when a late response races a
-    failure.
+    There is no sender thread: a thread that submits to an idle link takes
+    its *sending role* and drains the heap, highest priority first, while
+    one that finds the role taken only pushes its entry and returns — so
+    entries queued behind a ``sendall`` blocked on a busy backend still
+    leave in priority order, and one thread at a time sends on the socket.
+
+    Ownership discipline: an entry is owned by whichever thread *pops* it,
+    from the heap (the sending-role holder, or :meth:`stop`) or from
+    ``pending`` (the reader on normal completion; :meth:`fail` on link
+    death, which re-dispatches every pending entry or answers it
+    ``backend_down``; or the role holder when its send fails).  Popping is
+    atomic under ``_lock``, so an entry is completed exactly once even when
+    a late response races a failure.
     """
 
     def __init__(self, router, host, port):
@@ -324,18 +330,15 @@ class _BackendLink:
         self.pending = {}
         self._client = None
         self._lock = threading.Lock()
-        self._send_queue = PriorityQueue()
+        self._heap = []  # (-priority, seq, entry): FIFO within a priority
         self._queue_seq = 0
+        self._sending = False
         self._stop = threading.Event()
-        self._sender = None
         self._probe = None
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self):
-        self._sender = threading.Thread(
-            target=self._sender_loop, name=f"kmt-route-send-{self.key}", daemon=True)
-        self._sender.start()
         self.try_revive()  # synchronous first dial: healthy backends serve at once
         self._probe = threading.Thread(
             target=self._probe_loop, name=f"kmt-route-probe-{self.key}", daemon=True)
@@ -343,24 +346,18 @@ class _BackendLink:
 
     def stop(self):
         self._stop.set()
-        self._send_queue.put((-(_CONTROL_PRIORITY + 1), -1, None))
         with self._lock:
             client = self._client
             self._client = None
             self.state = "down"
             self.generation += 1
-            pending = list(self.pending.values())
+            # Entries still on the heap were never registered in ``pending``;
+            # without this sweep they would hold capacity forever.
+            pending = list(self.pending.values()) + [item[2] for item in self._heap]
             self.pending.clear()
+            self._heap.clear()
         if client is not None:
-            client.close()
-        if self._sender is not None:
-            self._sender.join(timeout=5.0)
-        # Entries still queued behind the sentinel were never registered in
-        # ``pending``; without this sweep they would hold capacity forever.
-        while not self._send_queue.empty():
-            _, _, entry = self._send_queue.get_nowait()
-            if entry is not None:
-                pending.append(entry)
+            client.close()  # a send blocked on a jammed backend raises now
         for entry in pending:
             self.router._entry_failed(entry, self, "router is shutting down")
 
@@ -369,17 +366,18 @@ class _BackendLink:
     def submit(self, entry):
         with self._lock:
             self._queue_seq += 1
-            seq = self._queue_seq
-        self._send_queue.put((-entry.priority, seq, entry))
-
-    def _sender_loop(self):
+            heapq.heappush(self._heap, (-entry.priority, self._queue_seq, entry))
+            if self._sending:
+                return  # the holder of the sending role will send it
+            self._sending = True
         while True:
-            _, _, entry = self._send_queue.get()
-            if entry is None:
-                return
-            if entry.done:
-                continue
             with self._lock:
+                if not self._heap:
+                    self._sending = False
+                    return
+                entry = heapq.heappop(self._heap)[2]
+                if entry.done:
+                    continue
                 up = self.state == "up" and not self._stop.is_set()
                 if up:
                     self.pending[entry.internal_id] = entry
@@ -646,8 +644,7 @@ class Router:
         if drain:
             self.wait_idle(timeout=60.0)
         # From here, failed entries answer ``shutting_down`` instead of
-        # retrying — a retry could land on a link whose sender just exited
-        # and never be answered.
+        # retrying onto a link that is being stopped.
         self._stopping = True
         for link in self._links.values():
             link.stop()
@@ -738,12 +735,12 @@ class Router:
 
     def _dispatch(self, entry):
         with self._ring_lock:
-            candidates = self.ring.preference(entry.key_hash)
-        target = next((key for key in candidates if key not in entry.tried), None)
+            target = self.ring.lookup(entry.key_hash, skip=entry.tried)
+            live = len(self.ring)
         if target is None:
             self._finish_with_error(
                 entry, "no live backend for this request "
-                f"({len(self._links) - len(candidates)} of {len(self._links)} down, "
+                f"({len(self._links) - live} of {len(self._links)} down, "
                 f"{entry.retries} retries used)", ERROR_BACKEND_DOWN)
             return
         entry.tried.add(target)

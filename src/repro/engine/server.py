@@ -89,7 +89,7 @@ import threading
 import time
 import zlib
 from collections import deque
-from queue import Full, Queue
+from queue import Queue
 
 from repro.core.pushback import DEFAULT_BUDGET
 from repro.engine.batch import (
@@ -1431,59 +1431,78 @@ _WRITER_QUEUE_LIMIT = 256
 
 
 class _ConnectionWriter:
-    """Decouples workers from client sockets with a bounded queue + writer thread.
+    """Writes one client's responses without ever blocking the emitter.
 
-    Workers must never block on a slow client's TCP send buffer while holding
-    global queue capacity.  ``write_line`` therefore only enqueues (raising
-    ``OSError`` when the client is :data:`_WRITER_QUEUE_LIMIT` responses
-    behind, which flips the sink to broken); the dedicated writer thread does
-    the actual blocking socket I/O.
+    Workers (and the router's link readers) must never block on a slow
+    client's TCP send buffer while holding global queue capacity.
+    ``write_line`` therefore sends inline with ``MSG_DONTWAIT`` when nothing
+    is queued ahead of it, so the thread that produced a response writes it;
+    only what the socket cannot take goes to a bounded backlog, which a
+    writer thread drains with blocking ``sendall``.  A client more than
+    :data:`_WRITER_QUEUE_LIMIT` responses behind makes ``write_line`` raise
+    ``OSError`` (which flips the sink to broken) and loses its backlog.
     """
 
-    _SENTINEL = object()
-
-    def __init__(self, stream):
-        self._stream = stream
-        self._queue = Queue(maxsize=_WRITER_QUEUE_LIMIT)
+    def __init__(self, conn):
+        self._conn = conn
+        self._ready = threading.Condition()
+        self._backlog = deque()  # its head is the write in flight, if any
+        self._closed = False
         self._broken = False
         self._thread = threading.Thread(target=self._loop, name="kmt-server-writer",
                                         daemon=True)
         self._thread.start()
 
     def write_line(self, line):
-        try:
-            self._queue.put_nowait(line)
-        except Full:
-            raise OSError(
-                f"client is more than {_WRITER_QUEUE_LIMIT} responses behind") from None
+        data = (line + "\n").encode("utf-8")
+        with self._ready:
+            if self._broken:
+                raise OSError("client connection is broken")
+            if not self._backlog:
+                try:
+                    data = data[self._conn.send(data, socket.MSG_DONTWAIT):]
+                except BlockingIOError:
+                    pass
+                if not data:
+                    return
+            if len(self._backlog) >= _WRITER_QUEUE_LIMIT:
+                self._broken = True
+                self._backlog.clear()
+                raise OSError(
+                    f"client is more than {_WRITER_QUEUE_LIMIT} responses behind")
+            self._backlog.append(data)
+            self._ready.notify()
 
     def _loop(self):
         while True:
-            item = self._queue.get()
-            if item is self._SENTINEL:
-                return
-            if self._broken:
-                continue  # keep consuming so producers/close never block
+            with self._ready:
+                self._ready.wait_for(lambda: self._backlog or self._closed)
+                if not self._backlog:
+                    return
+                data = self._backlog[0]
             try:
-                self._stream.write(item + "\n")
-                self._stream.flush()
-            except (OSError, ValueError):
+                self._conn.sendall(data)
+            except OSError:
                 self._broken = True
+                return
+            with self._ready:
+                if self._backlog:  # an overflow may have dropped it meanwhile
+                    self._backlog.popleft()
 
     def close(self, force_close=None, timeout=10.0):
-        """Flush queued responses and stop the writer thread.
+        """Flush the backlog and stop the writer thread.
 
-        ``force_close`` (a callable shutting the socket) is invoked when the
-        writer is stuck mid-``flush`` on an unresponsive client — closing the
-        socket makes the blocked write raise so the thread can exit.
+        ``force_close`` (a callable shutting the socket) makes a blocked
+        ``sendall`` raise so the thread can exit: it is invoked at once for
+        a client already given up on, else if the backlog has not drained
+        within ``timeout``.
         """
-        try:
-            self._queue.put(self._SENTINEL, timeout=timeout)
-        except Full:
-            self._broken = True
-            if force_close is not None:
-                force_close()
-            self._queue.put(self._SENTINEL)
+        with self._ready:
+            self._closed = True
+            broken = self._broken
+            self._ready.notify()
+        if broken and force_close is not None:
+            force_close()
         self._thread.join(timeout=timeout)
         if self._thread.is_alive() and force_close is not None:
             force_close()
@@ -1574,8 +1593,7 @@ class SocketServer:
 
     def _handle_connection(self, conn):
         reader = conn.makefile("r", encoding="utf-8", newline="\n")
-        writer_stream = conn.makefile("w", encoding="utf-8", newline="\n")
-        writer = _ConnectionWriter(writer_stream)
+        writer = _ConnectionWriter(conn)
         sink = ResponseSink(writer.write_line, ordered=self.ordered)
         try:
             for lineno, raw in enumerate(reader):
@@ -1589,11 +1607,10 @@ class SocketServer:
             # writer before the socket closes (unless the client is gone).
             sink.wait_drained(timeout=30.0)
             writer.close(force_close=lambda: self._force_close(conn))
-            for handle in (reader, writer_stream):
-                try:
-                    handle.close()
-                except OSError:
-                    pass
+            try:
+                reader.close()
+            except OSError:
+                pass
             self._force_close(conn)
             with self._conn_lock:
                 self._conns.discard(conn)

@@ -10,6 +10,7 @@ routing key for every query op.
 
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -273,25 +274,6 @@ class TestRouterIntake:
         assert "retries" not in response  # nothing was ever dispatched
         assert router.wait_idle(timeout=1.0)  # capacity fully released
 
-    def test_send_queue_drains_highest_priority_first(self):
-        from repro.engine.router import _RoutedQuery
-
-        router = Router(["127.0.0.1:1"])
-        link = next(iter(router._links.values()))
-        sink = ListSink()
-
-        def entry(name, priority):
-            return _RoutedQuery({"op": "sat", "pred": name, "id": name},
-                                router._next_internal_id(), sink, sink.next_seq(),
-                                0, None, 0, priority)
-
-        for name, priority in (("bulk-a", 0), ("urgent", 5),
-                               ("bulk-b", 0), ("mid", 2)):
-            link.submit(entry(name, priority))
-        drained = [link._send_queue.get_nowait()[2].record["pred"]
-                   for _ in range(4)]
-        assert drained == ["urgent", "mid", "bulk-a", "bulk-b"]  # FIFO within tier
-
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             Router(["127.0.0.1:1"], queue_limit=0)
@@ -312,12 +294,16 @@ class ScriptedBackend:
     * ``"flaky"`` — drop the connection on the first query (the in-band
       EOF/reset failure signal), forcing a failover retry;
     * ``"blackhole"`` — swallow queries silently (accepted but never
-      answered), holding router capacity forever.
+      answered), holding router capacity forever;
+    * ``"jam"`` — stop reading after the revive ping, so the router's sends
+      block once the socket buffers fill; :meth:`release` resumes reading,
+      after which queries are swallowed as in ``"blackhole"``.
     """
 
     def __init__(self, mode):
         self.mode = mode
         self.queries_seen = []
+        self._released = threading.Event()
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._listener.settimeout(0.2)
         self.host, self.port = self._listener.getsockname()[:2]
@@ -356,6 +342,8 @@ class ScriptedBackend:
                     reply = {"id": request.get("id"), "op": "ping", "ok": True,
                              "result": {"pong": True}}
                     conn.sendall((json.dumps(reply) + "\n").encode("utf-8"))
+                    if self.mode == "jam":
+                        self._released.wait()
                     continue
                 with self._lock:
                     self.queries_seen.append(request)
@@ -365,6 +353,9 @@ class ScriptedBackend:
                 # blackhole: accepted, never answered
         except (OSError, ValueError, json.JSONDecodeError):
             pass
+
+    def release(self):
+        self._released.set()
 
     def close(self):
         with self._lock:
@@ -377,6 +368,7 @@ class ScriptedBackend:
                 pass
             conn.close()
         self._listener.close()
+        self.release()  # a jammed reader wakes up to EOF and exits
 
 
 def _keyed_lines(router, owner_key, count, start=0):
@@ -399,6 +391,40 @@ def _wait_for(predicate, timeout=10.0, message="condition"):
             return
         time.sleep(0.02)
     raise AssertionError(f"timed out waiting for {message}")
+
+
+def _block_link_sender(router, owner_key, sink, stop):
+    """Start a thread submitting 512 KB queries owned by ``owner_key`` until
+    one of its sends blocks on that backend's full socket buffers; return
+    the thread and the ids it submits (each listed before its submission).
+
+    The thread stops at its next submission once ``stop`` is set or the
+    router refuses a query.
+    """
+    pad = " " * (512 * 1024)
+    submitted = []
+
+    def fill():
+        i = 0
+        while not stop.is_set() and len(submitted) < 64:
+            fields = {"op": "sat", "pred": f"x > {i}{pad}", "id": f"fill{i}"}
+            i += 1
+            if router.ring.lookup(affinity_hash(fields)) != owner_key:
+                continue
+            submitted.append(fields["id"])
+            if router.submit_line(json.dumps(fields), sink) != "queued":
+                return
+
+    thread = threading.Thread(target=fill, daemon=True)
+    thread.start()
+    # Blocked: alive, yet no new submission for a whole second.
+    seen = -1
+    while seen != len(submitted):
+        seen = len(submitted)
+        time.sleep(1.0)
+        assert thread.is_alive() and len(submitted) < 64, \
+            "the filler never blocked on the backend's socket"
+    return thread, submitted
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +610,117 @@ class TestRouterIntegration:
         assert held["error_code"] == ERROR_SHUTDOWN  # answered, not leaked
         assert router.wait_idle(timeout=1.0)
         blackhole.close()
+
+    def test_concurrent_submitters_answer_every_id_once(self, two_backends):
+        """Many threads contend for the links' sending roles: every id is
+        answered exactly once, and every link ends idle with its role free."""
+        router, _, _ = two_backends
+        sink = ListSink()
+        submitters, per_submitter = 8, 25
+
+        def submit(index):
+            for n in range(per_submitter):
+                router.submit_line(record(op="sat", pred=f"x > {n}",
+                                          id=f"t{index}-{n}"), sink)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submit, args=(i,), daemon=True)
+                       for i in range(submitters)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            assert router.wait_idle(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(r["id"] for r in sink.responses) == sorted(
+            f"t{i}-{n}" for i in range(submitters) for n in range(per_submitter))
+        assert all(r["ok"] for r in sink.responses)
+        for link in router._links.values():
+            assert not link._sending and not link._heap
+
+    def test_queued_entries_leave_highest_priority_first(self):
+        """Entries queued behind a send blocked on a jammed backend leave
+        by priority, FIFO within a priority."""
+        jam = ScriptedBackend("jam")
+        router = Router([(jam.host, jam.port)], probe_interval=60.0)
+        router.start()
+        stop = threading.Event()
+        sink = ListSink()
+        try:
+            assert router.wait_all_up(timeout=10.0)
+            filler, _ = _block_link_sender(router, jam.key, sink, stop)
+            names = ("bulk-a", "urgent", "bulk-b", "mid")
+            for name, priority in zip(names, (0, 5, 0, 2)):
+                assert router.submit_line(record(op="sat", pred=name, id=name,
+                                                 priority=priority), sink) == "queued"
+            stop.set()
+            jam.release()
+
+            def arrived():
+                with jam._lock:
+                    return [q["pred"] for q in jam.queries_seen if q["pred"] in names]
+
+            _wait_for(lambda: len(arrived()) == 4, message="queued entries to arrive")
+            assert arrived() == ["urgent", "mid", "bulk-a", "bulk-b"]
+            filler.join(timeout=5.0)
+            assert not filler.is_alive()
+        finally:
+            router.shutdown(drain=False)
+            jam.close()
+
+    def test_jammed_backend_blocks_only_its_sender(self):
+        """A backend that stops reading blocks the one thread sending to it:
+        other submitters return at once, keys owned by a healthy backend
+        keep answering, and shutdown answers every id exactly once."""
+        jam = ScriptedBackend("jam")
+        stop = threading.Event()
+        sink = ListSink()
+        with SocketServer(QueryServer(workers=2), port=0) as real:
+            router = Router([("127.0.0.1", real.port), (jam.host, jam.port)],
+                            probe_interval=60.0)
+            router.start()
+            try:
+                assert router.wait_all_up(timeout=10.0)
+                filler, filled = _block_link_sender(router, jam.key, sink, stop)
+                jammed_lines = _keyed_lines(router, jam.key, 4)
+                started = time.monotonic()
+                for line in jammed_lines:
+                    assert router.submit_line(line, sink) == "queued"
+                assert time.monotonic() - started < 0.5
+                real_key = f"127.0.0.1:{real.port}"
+                healthy_lines = _keyed_lines(router, real_key, 4, start=10_000)
+                healthy = {json.loads(line)["id"] for line in healthy_lines}
+                for line in healthy_lines:
+                    assert router.submit_line(line, sink) == "queued"
+
+                def answered():
+                    return [r for r in list(sink.responses) if r["id"] in healthy]
+
+                _wait_for(lambda: len(answered()) == len(healthy),
+                          message="the healthy backend's answers")
+                assert all(r["ok"] and r["result"]["equivalent"] for r in answered())
+                assert filler.is_alive()  # still blocked in sendall
+            finally:
+                router.shutdown(drain=False)
+        filler.join(timeout=5.0)
+        assert not filler.is_alive()
+        _wait_for(lambda: not [t for t in threading.enumerate()
+                               if t.name.endswith(jam.key)],
+                  message="the jammed link's threads to exit")
+        jam.close()
+
+        ids = [r["id"] for r in sink.responses]
+        assert len(ids) == len(set(ids))  # nothing answered twice
+        jammed = set(filled) | {json.loads(line)["id"] for line in jammed_lines}
+        assert set(ids) == jammed | healthy  # nothing lost
+        for response in sink.responses:
+            if response["id"] in jammed:
+                assert response["error_code"] == ERROR_SHUTDOWN
+        assert router.wait_idle(timeout=1.0)
 
     def test_rejects_queries_after_drain_begins(self, two_backends):
         router, _, _ = two_backends
