@@ -18,7 +18,9 @@ Section 5 scaling shape also used by ``bench_cell_search.py``):
    (:mod:`repro.core.oracle`) against compile + ``flat_compare`` — once cold
    (compilation amortized over a single comparison) and once hot (automata
    precompiled, the regime every warm session lives in after the first query
-   touching a sum).
+   touching a sum).  Derivatives are memoized only inside a decision call,
+   so the oracle's baseline runs unmemoized: it recomputes every derivative
+   it meets.
 
 3. **Does the canonical-table fast path pay over the product walk?**  On the
    same precompiled automata, hot ``flat_compare`` vs the bare product walk
@@ -46,13 +48,12 @@ import sys
 import time
 
 from repro.core import terms as T
-from repro.core.automata import set_derivative_cache
 from repro.core.compile import compile_automaton
 from repro.core.decision import EquivalenceChecker
 from repro.core.kernels import _product_search, flat_compare
 from repro.core.oracle import counterexample_word, derivative_accepts, language_compare
 from repro.core.pushback import Normalizer
-from repro.engine.cache import DERIVATIVE_CACHE, EngineCaches
+from repro.engine.cache import EngineCaches
 from repro.theories.bitvec import BitVecTheory
 
 #: (loop summands m, chain depth d) per size, smallest to largest.  ``m``
@@ -251,10 +252,6 @@ def _measure_kernels(theory, m, d):
 
 
 def run_all(smoke=False):
-    # The decision procedure always runs with the shared derivative memo
-    # installed (sessions install it); give the derivative baseline the same
-    # advantage so the comparison is honest.
-    set_derivative_cache(DERIVATIVE_CACHE)
     rows = []
     for m, d in (SMOKE_SIZES if smoke else SIZES):
         theory, left, right, loop = family_pair(m, d)

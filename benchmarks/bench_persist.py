@@ -95,7 +95,7 @@ def _run_lane(sizes, snapshot_path, warm, out_path):
     total_seconds = time.perf_counter() - started
     if not warm:
         SnapshotStore(snapshot_path).save(pool.export_snapshot())
-    tables = session.stats(include_shared=False)["tables"]
+    tables = session.stats()["tables"]
     report = {
         "verdicts": verdicts,
         "seconds": round(total_seconds, 6),

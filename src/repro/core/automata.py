@@ -8,7 +8,8 @@ distinct derivative states small (derivatives of a regular expression are
 finite up to the ACI axioms the smart constructors apply).
 :mod:`repro.core.compile` explores these states once per action and builds an
 explicit minimal DFA; the derivative-pairwise comparison the paper describes
-lives in the reference oracle, :mod:`repro.core.oracle`.
+lives in the reference oracle, :mod:`repro.core.oracle`.  :func:`derivative`
+keeps no memo; compilation memoizes it for one decision call.
 """
 
 from __future__ import annotations
@@ -111,41 +112,9 @@ def _flatten_seq(m, out):
         out.append(m)
 
 
-#: Optional dict-like memo for :func:`derivative` with ``get(key, default)``
-#: and ``put(key, value)`` methods (the engine layer installs a bounded,
-#: thread-safe LRU here).  ``None`` means no caching — the seed behaviour.
-_DERIVATIVE_CACHE = None
-
-_CACHE_MISS = object()
-
-
-def set_derivative_cache(cache):
-    """Install (or with ``None`` remove) the shared derivative memo table.
-
-    Derivatives are pure functions of hash-consed terms, so a process-wide
-    cache is semantically transparent; it exists because the same derivative
-    states are recomputed constantly across cells, queries and sessions.
-    """
-    global _DERIVATIVE_CACHE
-    _DERIVATIVE_CACHE = cache
-
-
-def get_derivative_cache():
-    return _DERIVATIVE_CACHE
-
-
 def derivative(m, pi):
     """The ACI-canonical Brzozowski derivative of ``m`` w.r.t. primitive action ``pi``."""
-    cache = _DERIVATIVE_CACHE
-    if cache is None:
-        return canonical(_derivative_raw(m, pi))
-    key = (m, pi)
-    cached = cache.get(key, _CACHE_MISS)
-    if cached is not _CACHE_MISS:
-        return cached
-    result = canonical(_derivative_raw(m, pi))
-    cache.put(key, result)
-    return result
+    return canonical(_derivative_raw(m, pi))
 
 
 def _derivative_raw(m, pi):

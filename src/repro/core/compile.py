@@ -47,7 +47,8 @@ The engine layer caches compiled automata in a per-session ``aut`` LRU
 itself — a warm session that has seen a restricted-action sum in any
 earlier query or signature reuses the minimized automaton instead of
 re-deriving it.  The ``aut_bytes`` stat sums :attr:`CompiledAutomaton.nbytes`
-over that table.
+over that table.  Derivatives are memoized only within one decision call
+(the ``memo`` argument of :func:`compile_automaton`).
 """
 
 from __future__ import annotations
@@ -237,20 +238,24 @@ class CompiledAutomaton:
 # ---------------------------------------------------------------------------
 
 
-def compile_automaton(action, cancel=None, minimize=True):
+def compile_automaton(action, cancel=None, minimize=True, memo=None):
     """Compile a restricted action into a :class:`CompiledAutomaton`.
 
-    Runs one BFS over the action's Brzozowski derivatives (through the
-    process-wide derivative memo, when installed), recording dense state ids,
-    transition rows in canonical alphabet order, the accepting bitset and the
-    discovery back-pointers — then minimizes with Hopcroft's algorithm and
-    canonically trims dead symbols/sink (``minimize=False`` keeps the raw
-    derivative automaton, for tests and the minimization benchmark).
+    Runs one BFS over the action's Brzozowski derivatives, recording dense
+    state ids, transition rows in canonical alphabet order, the accepting
+    bitset and the discovery back-pointers — then minimizes with Hopcroft's
+    algorithm and canonically trims dead symbols/sink (``minimize=False``
+    keeps the raw derivative automaton, for tests and the minimization
+    benchmark).  ``memo`` is a plain dict of derivatives keyed by
+    ``(state, pi)``, shared by the compilations of one decision call, whose
+    sums have most of their derivative states in common.
     ``cancel`` is the usual cooperative-cancellation callable, invoked once
     per explored state.
     """
     if not T.is_restricted(action):
         raise KmtError("compile_automaton expects a restricted action")
+    if memo is None:
+        memo = {}
     start = canonical(action)
     sigma = sorted_alphabet(start)
     state_ids = {start: 0}
@@ -268,7 +273,9 @@ def compile_automaton(action, cancel=None, minimize=True):
             accepting |= 1 << sid
         row = []
         for k, pi in enumerate(sigma):
-            nxt = derivative(state, pi)
+            nxt = memo.get((state, pi))
+            if nxt is None:
+                nxt = memo[state, pi] = derivative(state, pi)
             nid = state_ids.get(nxt)
             if nid is None:
                 nid = len(order)

@@ -217,7 +217,9 @@ class EquivalenceChecker:
     (:class:`repro.engine.cache.EngineCaches`): predicate satisfiability,
     normal-form verdicts and compiled automata.  The
     :class:`~repro.core.kmt.KMT` facade passes its own in; without one the
-    checker builds a private bundle.
+    checker builds a private bundle.  Derivatives are memoized per entry
+    point call only: each call makes one plain dict that every compilation
+    it triggers shares, and drops it on return.
     ``states_compiled`` counts the raw derivative states explored by this
     checker's compilations (cache hits compile nothing).
     """
@@ -282,9 +284,11 @@ class EquivalenceChecker:
         :func:`~repro.core.kernels.flat_includes`) on their compiled
         automata, and memoize the verdict under ``key``."""
 
+        memo = {}
+
         def compare(left, right):
-            return kernel(self._compile_cached(left, cancel),
-                          self._compile_cached(right, cancel), cancel=cancel)
+            return kernel(self._compile_cached(left, cancel, memo),
+                          self._compile_cached(right, cancel, memo), cancel=cancel)
 
         search = _SignatureSearch(self.theory, x, y, compare, cancel)
         counterexample = search.run()
@@ -311,9 +315,10 @@ class EquivalenceChecker:
         O(|word|) table lookups per summand once the automata are cached.
         """
         word = tuple(word)
+        memo = {}
         for test, action in x.sorted_pairs():
             if self._satisfiable_pred(test) and \
-                    self._compile_cached(action, cancel).accepts(word):
+                    self._compile_cached(action, cancel, memo).accepts(word):
                 return True
         return False
 
@@ -329,12 +334,13 @@ class EquivalenceChecker:
         words = [tuple(word) for word in words]
         verdicts = [False] * len(words)
         pending = list(range(len(words)))
+        memo = {}
         for test, action in x.sorted_pairs():
             if not pending:
                 break
             if not self._satisfiable_pred(test):
                 continue
-            automaton = self._compile_cached(action, cancel)
+            automaton = self._compile_cached(action, cancel, memo)
             accepted = accepts_batch(automaton, [words[i] for i in pending], cancel=cancel)
             still = []
             for i, ok in zip(pending, accepted):
@@ -348,20 +354,21 @@ class EquivalenceChecker:
     # ------------------------------------------------------------------
     # compiled-automaton plumbing
     # ------------------------------------------------------------------
-    def _compile_cached(self, action, cancel=None):
+    def _compile_cached(self, action, cancel=None, memo=None):
         """The compiled (minimized) automaton of a restricted action,
         memoized in the ``aut`` LRU under the action itself (so warm sessions
-        reuse automata across queries)."""
+        reuse automata across queries).  ``memo`` is the calling entry
+        point's derivative memo, a dict that lives for that one call."""
         caches = self.caches
         cached = caches.aut.get(action, _CACHE_MISS)
         if cached is not _CACHE_MISS:
             return cached
         trace = current_trace()
         if trace is None:
-            automaton = compile_automaton(action, cancel=cancel)
+            automaton = compile_automaton(action, cancel=cancel, memo=memo)
         else:
             with trace.span("compile"):
-                automaton = compile_automaton(action, cancel=cancel)
+                automaton = compile_automaton(action, cancel=cancel, memo=memo)
         self.states_compiled += automaton.raw_states
         caches.aut.put(action, automaton)
         return automaton
@@ -379,9 +386,10 @@ class EquivalenceChecker:
         deadline must be able to interrupt the derivative BFS on a large
         action, same as on the equivalence path).
         """
+        memo = {}
         for test, action in x.pairs:
             if self._satisfiable_pred(test) and \
-                    not self._compile_cached(action, cancel).is_empty():
+                    not self._compile_cached(action, cancel, memo).is_empty():
                 return False
         return True
 

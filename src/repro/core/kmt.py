@@ -17,7 +17,7 @@ One object owns all of it, and keeps its work between calls:
 
 * an :class:`~repro.engine.cache.EngineCaches` bundle of bounded memo tables,
   shared with the ``EquivalenceChecker`` (which decides already-normalized
-  terms only) and with the automata module's derivative memo;
+  terms only);
 * one persistent ``Normalizer`` behind the ``norm`` table, whose pushback
   memos, stats and step budget start fresh for each normalization (answers
   that outlive a query live in the bounded tables);
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import threading
 
-from repro.core import automata
 from repro.core import parser as parser_mod
 from repro.core import semantics, terms
 from repro.core.decision import EquivalenceChecker
@@ -51,19 +50,11 @@ class KMT:
     def __init__(self, theory, budget=DEFAULT_BUDGET, caches=None):
         # Imported here: the engine package imports this module while it
         # initializes, so a module-level import would be circular.
-        from repro.engine.cache import DERIVATIVE_CACHE, EngineCaches
+        from repro.engine.cache import EngineCaches
 
         self.theory = theory
         self.budget = budget
         self.caches = caches if caches is not None else EngineCaches()
-        # The automata memo is a process-wide slot.  Only the *shared* table is
-        # ever auto-installed: a facade built with a custom ``caches=`` bundle
-        # must not publish its private derivative table process-wide (it would
-        # silently redirect every other facade's derivative caching, and pool
-        # stats would report the wrong table).  Custom bundles that really want
-        # a global table can call ``automata.set_derivative_cache`` themselves.
-        if self.caches.deriv is DERIVATIVE_CACHE and automata.get_derivative_cache() is None:
-            automata.set_derivative_cache(DERIVATIVE_CACHE)
         self.checker = EquivalenceChecker(theory, caches=self.caches)
         self.lock = threading.Lock()
         self._normalizer = Normalizer(theory, budget=budget)
@@ -331,15 +322,13 @@ class KMT:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def stats(self, include_shared=True):
+    def stats(self):
         """Cache hit/miss tables plus facade-level counters.
 
-        ``include_shared=False`` omits the process-wide derivative cache (see
-        :meth:`repro.engine.cache.EngineCaches.stats`).  The ``session``
-        block's ``aut_bytes`` is the one sum over the ``aut`` table that
-        :meth:`~repro.engine.cache.EngineCaches.stats` computed.
+        The ``session`` block's ``aut_bytes`` is the one sum over the ``aut``
+        table that :meth:`~repro.engine.cache.EngineCaches.stats` computed.
         """
-        out = self.caches.stats(include_shared=include_shared)
+        out = self.caches.stats()
         out["session"] = {
             "theory": self.theory.describe(),
             "queries": self.queries,

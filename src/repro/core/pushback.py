@@ -35,7 +35,7 @@ from repro.core import terms as T
 from repro.core.nnf import nnf
 from repro.core.normalform import NormalForm
 from repro.core.ordering import OrderingContext
-from repro.utils.errors import KmtError, NormalizationBudgetExceeded
+from repro.utils.errors import KmtError, NormalizationBudgetExceeded, PushbackCycle
 
 #: Default number of pushback steps before giving up.  Generous enough for all
 #: the paper's benchmarks except the deliberately-diverging Fig. 9 row 7.
@@ -85,6 +85,8 @@ class Normalizer:
         self.stats = NormalizationStats()
         self._pb_cache = {}
         self._pb_star_cache = {}
+        # Subproblems being computed right now: re-entering one is a cycle.
+        self._pb_in_progress = set()
         self._star_in_progress = set()
 
     # ------------------------------------------------------------------
@@ -191,14 +193,26 @@ class Normalizer:
         """``m · a  PB•  y`` for a restricted action ``m`` and a test ``a``.
 
         Memoized on ``(m, a)`` for the current normalization; the step is
-        ticked before the lookup, so a memo hit still costs one step.
+        ticked before the lookup, so a memo hit still costs one step.  A pair
+        met again while it is still being computed raises
+        :class:`~repro.utils.errors.PushbackCycle`.
         """
         self._tick()
         key = (m, a)
         result = self._pb_cache.get(key)
         if result is not None:
             return result
+        if key in self._pb_in_progress:
+            raise PushbackCycle("PB•", self.theory.name)
+        self._pb_in_progress.add(key)
+        try:
+            result = self._pb_test_action_uncached(m, a)
+        finally:
+            self._pb_in_progress.discard(key)
+        self._pb_cache[key] = result
+        return result
 
+    def _pb_test_action_uncached(self, m, a):
         # --- rules driven by the structure of the test -------------------
         if isinstance(a, T.PZero):
             result = NormalForm.zero()                                  # SeqZero
@@ -235,7 +249,6 @@ class Normalizer:
             result = self._record(self._pb_test_through_prim(m, a))
         else:
             raise TypeError(f"not a Term: {m!r}")
-        self._pb_cache[key] = result
         return result
 
     def _nf_of_restricted(self, m):
@@ -306,10 +319,7 @@ class Normalizer:
         if x in self._star_in_progress:
             # The theory violated its ordering obligations; fail loudly rather
             # than recurse forever.
-            raise KmtError(
-                "pb_star re-entered on the same normal form; the client theory's "
-                "push_back is not non-increasing in the maximal-subterm ordering"
-            )
+            raise PushbackCycle("PB*", self.theory.name)
         self._star_in_progress.add(x)
         try:
             result = self._pb_star_uncached(x)

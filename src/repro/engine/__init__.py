@@ -7,8 +7,8 @@ persistent normalizer and every query entry point.  The engine keeps such
 facades alive and feeds them requests:
 
 * :mod:`repro.engine.cache` — bounded, thread-safe LRU memo tables with
-  hit/miss accounting, bundled per concern (normalization, derivatives,
-  satisfiability, equivalence verdicts) and keyed on the hash-consed terms,
+  hit/miss accounting, bundled per concern (normalization, satisfiability,
+  equivalence verdicts, compiled automata) and keyed on the hash-consed terms,
   predicates and normal forms themselves;
 * :mod:`repro.engine.session` — :class:`ShardedSessionPool`, which keeps one
   long-lived ``KMT`` per ``(theory, stripe)``, and ``EngineSession``, the

@@ -43,7 +43,7 @@ import time
 
 from repro.core.pretty import pretty_normal_form
 from repro.engine.telemetry import Trace, activate, deactivate
-from repro.utils.errors import KmtError, ParseError, QueryCancelled
+from repro.utils.errors import KmtError, ParseError, PushbackCycle, QueryCancelled
 
 #: Ops that dispatch to a theory session.
 QUERY_OPS = ("equiv", "leq", "inclusion", "member", "norm", "sat", "empty",
@@ -72,6 +72,9 @@ ERROR_INTERNAL = "internal_error"
 # A request nested deeper than the interpreter's recursion limit allows
 # (parenthesized terms, long programs): rejected, and the session stays usable.
 ERROR_INPUT_TOO_DEEP = "input_too_deep"
+# Normalization met a pushback subproblem again while computing it: the
+# theory's ordering obligations fail on this input (not deep input).
+ERROR_PUSHBACK_CYCLE = "pushback_cycle"
 # Cluster-router codes (see repro.engine.router): a request whose backend —
 # and every retry replica — is unreachable answers ``backend_down``; a client
 # over its token-bucket budget is refused with ``rate_limited``.
@@ -133,6 +136,8 @@ def classify_query_error(error):
         return str(error), ERROR_DEADLINE
     if isinstance(error, ParseError):
         return str(error), ERROR_PARSE
+    if isinstance(error, PushbackCycle):
+        return str(error), ERROR_PUSHBACK_CYCLE
     if isinstance(error, RecursionError):
         return f"input nested too deeply: {error}", ERROR_INPUT_TOO_DEEP
     return str(error), ERROR_INVALID
@@ -217,17 +222,9 @@ def execute_query(session, record, cancel=None):
 
 
 def _cache_table_snapshot(caches):
-    """Per-table ``(hits, misses)`` for the session-private cache tables.
-
-    The process-wide shared derivative memo is deliberately excluded: under
-    concurrency its deltas would blend other requests' traffic into this
-    request's trace.
-    """
-    private = getattr(caches, "private_caches", None)
-    if private is None:
-        return {}
+    """Per-table ``(hits, misses)`` of a session's cache tables."""
     return {cache.stats.name: (cache.stats.hits, cache.stats.misses)
-            for cache in private()}
+            for cache in caches.tables()}
 
 
 def _cache_table_deltas(before, after):

@@ -1,13 +1,15 @@
 """Bounded LRU memo tables with hit/miss accounting.
 
 Every table is thread-safe (the query server runs sessions on worker
-threads, and the derivative table is shared process-wide)
-and exposes :class:`CacheStats` so callers can verify that repeated work is
-actually being reused — the acceptance criterion for the batch front end.
+threads) and exposes :class:`CacheStats` so callers can verify that
+repeated work is actually being reused — the acceptance criterion for the
+batch front end.
 
 :class:`EngineCaches` bundles one table per concern.  Each
 :class:`~repro.core.kmt.KMT` owns one (or takes one via
 ``KMT(caches=...)``); a checker built without one creates a private bundle.
+No table is shared between bundles; derivatives are memoized per decision
+call instead (:class:`repro.core.decision.EquivalenceChecker`).
 """
 
 from __future__ import annotations
@@ -134,35 +136,6 @@ class LRUCache:
             self._data.clear()
 
 
-#: Process-wide memo for Brzozowski derivatives.  Derivatives are pure
-#: functions of hash-consed (theory-independent) restricted actions, so one
-#: shared table serves every facade and theory; a ``KMT`` holding the shared
-#: bundle installs it into :mod:`repro.core.automata` on construction (one
-#: built with a custom ``caches=`` bundle keeps its table private —
-#: auto-installing it would hijack every other facade's derivative caching).
-DERIVATIVE_CACHE = LRUCache(maxsize=65536, name="deriv")
-
-
-def installed_derivative_stats():
-    """Stats for whatever derivative memo is *actually* installed process-wide.
-
-    Aggregators (pool/server ``stats`` responses) must report the table that
-    :func:`repro.core.automata.derivative` really consults — which is usually
-    :data:`DERIVATIVE_CACHE` but can be a custom table installed explicitly,
-    or nothing at all.  Returns a ``{"tables": {...}}`` block; the ``deriv``
-    entry is absent when no table is installed.
-    """
-    from repro.core import automata  # local import: keep core/engine decoupled
-
-    installed = automata.get_derivative_cache()
-    stats = getattr(installed, "stats", None)
-    if installed is None or not isinstance(stats, CacheStats):
-        return {"tables": {}}
-    if hasattr(installed, "stats_snapshot"):
-        return {"tables": {"deriv": installed.stats_snapshot()}}
-    return {"tables": {"deriv": stats.as_dict()}}
-
-
 class EngineCaches:
     """The bundle of memo tables one :class:`~repro.core.kmt.KMT` owns.
 
@@ -181,7 +154,6 @@ class EngineCaches:
     ``aut``           restricted action → ``CompiledAutomaton``
     ``prog``          While-program source text → ``(WhileProgram, Term)``
     ``source``        ``(kind, text)`` → parsed ``Term`` (``"t"``) / ``Pred`` (``"p"``)
-    ``deriv``         ``(action, pi)`` → derivative (shared, process-wide)
     ================  =====================================================
 
     ``equiv`` also holds inclusion verdicts, under the tagged key
@@ -197,7 +169,6 @@ class EngineCaches:
         equiv_size=8192,
         aut_size=4096,
         prog_size=256,
-        deriv=None,
     ):
         self.norm = LRUCache(norm_size, name="norm")
         self.sat_pred = LRUCache(sat_pred_size, name="sat_pred")
@@ -205,36 +176,20 @@ class EngineCaches:
         self.aut = LRUCache(aut_size, name="aut")
         self.prog = LRUCache(prog_size, name="prog")
         self.source = LRUCache(SOURCE_TABLE_SIZE, name="source")
-        self.deriv = DERIVATIVE_CACHE if deriv is None else deriv
 
     # -- accounting ---------------------------------------------------------
-    def all_caches(self):
+    def tables(self):
+        """Every table of the bundle."""
         return (self.norm, self.sat_pred, self.equiv,
-                self.aut, self.prog, self.source, self.deriv)
+                self.aut, self.prog, self.source)
 
-    def private_caches(self):
-        """The tables owned by this bundle (excludes a shared derivative memo)."""
-        out = [self.norm, self.sat_pred, self.equiv,
-               self.aut, self.prog, self.source]
-        if self.deriv is not DERIVATIVE_CACHE:
-            out.append(self.deriv)
-        return tuple(out)
-
-    def stats(self, include_shared=True):
-        """Nested hit/miss stats, plus aggregate totals.
-
-        ``include_shared=False`` restricts the report to the tables this
-        bundle owns, leaving out the process-wide derivative cache —
-        aggregators summing over several bundles (e.g.
-        :meth:`repro.engine.session.ShardedSessionPool.stats`) use this to avoid
-        counting the shared table once per session.
-        """
-        caches = self.all_caches() if include_shared else self.private_caches()
+    def stats(self):
+        """Nested hit/miss stats, plus aggregate totals."""
         # One locked snapshot per table: the totals are summed over the same
         # dicts reported per-table, so a stats response can never show totals
         # that disagree with its own table rows (the counters were previously
         # read attribute-by-attribute while workers mutated them).
-        snapshots = [cache.stats_snapshot() for cache in caches]
+        snapshots = [cache.stats_snapshot() for cache in self.tables()]
         per_table = {snap["name"]: snap for snap in snapshots}
         totals = {
             "hits": sum(snap["hits"] for snap in snapshots),
@@ -245,13 +200,8 @@ class EngineCaches:
         return {"tables": per_table, "totals": totals, "aut_bytes": aut_bytes}
 
     def clear(self):
-        """Drop this bundle's tables.
-
-        The process-wide :data:`DERIVATIVE_CACHE` is deliberately left alone —
-        other sessions are relying on it staying warm; clear it explicitly via
-        ``DERIVATIVE_CACHE.clear()`` if that is really what you want.
-        """
-        for cache in self.private_caches():
+        """Drop every table's entries."""
+        for cache in self.tables():
             cache.clear()
 
     # -- snapshot export / import ------------------------------------------

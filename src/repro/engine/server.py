@@ -527,10 +527,10 @@ class _WorkerHandle:
 class ProcessExecutionBackend:
     """Execute queries in per-worker *processes* (true CPU parallelism).
 
-    Each of ``workers`` processes holds its own :class:`ShardedSessionPool`
-    (plus a private derivative memo); the scheduler's shard→worker pinning
-    means a given ``(theory, stripe)`` shard always executes in the same
-    process, so cache affinity works exactly as in the thread backend.
+    Each of ``workers`` processes holds its own :class:`ShardedSessionPool`,
+    and no cache is shared between processes; the scheduler's shard→worker
+    pinning means a given ``(theory, stripe)`` shard always executes in the
+    same process, so cache affinity works exactly as in the thread backend.
     Request and response records cross the pipe as plain dicts; theory
     injection crosses by ``theory_factory_spec`` (``"module:attribute"``,
     resolved inside each worker).  A crashed worker is respawned by its
@@ -678,7 +678,7 @@ class ProcessExecutionBackend:
     def theories(self):
         with self._stats_lock:
             blocks = list(self._last_pool_stats.values())
-        return sorted({name for block in blocks for name in block if name != "shared"})
+        return sorted({name for block in blocks for name in block})
 
     def worker_metrics(self):
         """Merged per-worker metrics (same snapshot cadence as pool stats)."""
@@ -1598,7 +1598,9 @@ class SocketServer:
         try:
             for lineno, raw in enumerate(reader):
                 outcome = self.server.submit_line(raw, sink, lineno=lineno)
-                if outcome == "quit":
+                # A broken sink drops every answer: executing more of this
+                # client's requests would be work for nobody.
+                if outcome == "quit" or sink.broken:
                     break
         except (OSError, ValueError):
             pass  # client went away mid-read; drain whatever was accepted

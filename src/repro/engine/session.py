@@ -18,7 +18,6 @@ import threading
 
 from repro.core.kmt import KMT
 from repro.core.pushback import DEFAULT_BUDGET
-from repro.engine.cache import installed_derivative_stats
 from repro.theories import build_theory
 from repro.utils.errors import KmtError
 
@@ -80,18 +79,13 @@ class ShardedSessionPool:
             return sorted({name for name, _ in self._sessions})
 
     def stats(self):
-        """Per-theory cache accounting aggregated over stripes.
-
-        Theory names plus a ``"shared"`` block for whatever derivative memo
-        is actually installed (see
-        :func:`repro.engine.cache.installed_derivative_stats`; every session
-        shares it, so it is reported once rather than per theory).
-        """
+        """Per-theory cache accounting aggregated over stripes, keyed by
+        theory name."""
         with self._lock:
             sessions = dict(self._sessions)
         by_theory = {}
         for (name, _), session in sorted(sessions.items()):
-            by_theory.setdefault(name, []).append(session.stats(include_shared=False))
+            by_theory.setdefault(name, []).append(session.stats())
         out = {}
         for name, blocks in by_theory.items():
             tables = {}
@@ -113,7 +107,6 @@ class ShardedSessionPool:
                     "misses": sum(block["totals"]["misses"] for block in blocks),
                 },
             }
-        out["shared"] = installed_derivative_stats()
         return out
 
     def export_snapshot(self):
@@ -169,19 +162,14 @@ class ShardedSessionPool:
 def merge_pool_stats(blocks):
     """Merge per-worker :meth:`ShardedSessionPool.stats` blocks into one.
 
-    Worker processes each own private sessions *and* a private process-wide
-    derivative memo; the merged report sums table counters per theory across
-    workers (recomputing hit rates) and folds every worker's ``"shared"``
-    block into one.  The result has the same shape as a single pool's stats,
-    so ``stats`` responses look identical under both backends.
+    Worker processes each own private sessions; the merged report sums table
+    counters per theory across workers (recomputing hit rates).  The result
+    has the same shape as a single pool's stats, so ``stats`` responses look
+    identical under both backends.
     """
     out = {}
-    shared_tables = {}
     for block in blocks:
         for name, theory_block in block.items():
-            if name == "shared":
-                _merge_cache_tables(shared_tables, theory_block.get("tables", {}))
-                continue
             agg = out.setdefault(
                 name,
                 {"stripes": 0, "queries": 0, "states_compiled": 0, "aut_bytes": 0,
@@ -196,7 +184,4 @@ def merge_pool_stats(blocks):
                 agg["totals"][counter] += theory_block.get("totals", {}).get(counter, 0)
     for agg in out.values():
         _finish_hit_rates(agg["tables"])
-    _finish_hit_rates(shared_tables)
-    merged = dict(sorted(out.items()))
-    merged["shared"] = {"tables": shared_tables}
-    return merged
+    return dict(sorted(out.items()))

@@ -92,6 +92,23 @@ class NormalizationBudgetExceeded(KmtError):
         super().__init__(message or f"normalization exceeded its step budget of {budget}")
 
 
+class PushbackCycle(KmtError):
+    """Pushback met a PB• or PB* subproblem again while still computing it.
+
+    Termination (Theorem 3.5) rests on the theory's ``push_back`` being
+    non-increasing in the maximal-subterm ordering; where it is not, pushback
+    would recurse forever, so its re-entry guards raise this instead.
+    """
+
+    def __init__(self, relation, theory_name):
+        self.theory_name = theory_name
+        super().__init__(
+            f"{relation} re-entered on the same subproblem in theory "
+            f"{theory_name!r}: its push_back is not non-increasing in the "
+            "maximal-subterm ordering, so pushback would not terminate"
+        )
+
+
 class CounterexampleBoundExceeded(KmtError):
     """A bounded counterexample search ran out of budget without a verdict.
 

@@ -223,7 +223,6 @@ class TestStatsAggregation:
                 "stripes": 1, "queries": 2, "states_compiled": 5,
                 "tables": {}, "totals": {"hits": 0, "misses": 0},
             },
-            "shared": {"tables": {}},
         }
         merged = merge_pool_stats([block, block])
         assert merged["incnat"]["states_compiled"] == 10

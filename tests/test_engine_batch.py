@@ -226,7 +226,7 @@ class TestServeLoop:
         assert by_id[1]["result"]["satisfiable"] is True
         # ``stats`` is answered inline as an immediate snapshot, so it may
         # overtake the queued queries; it still reports the pool's shape.
-        assert by_id[2]["ok"] and "shared" in by_id[2]["result"]
+        assert by_id[2]["ok"] and "server" in by_id[2]["result"]
 
     def test_serve_reports_malformed_lines(self):
         stdin = io.StringIO("{bad json\n")
@@ -323,8 +323,9 @@ class TestServeLineNumberIds:
 
 
 class TestPoolStatsSharedTables:
-    """The process-wide derivative cache is reported once, not per session
-    (bugfix: per-session totals used to re-count the shared table)."""
+    """No table is shared between sessions, so a pool reports each session's
+    tables under its theory and nothing else: no ``"shared"`` block, and no
+    derivative table (derivatives are memoized per decision call)."""
 
     def test_shared_deriv_reported_once(self):
         _, pool = run_batch_lines(
@@ -334,23 +335,19 @@ class TestPoolStatsSharedTables:
             ],
         )
         stats = pool.stats()
-        assert "shared" in stats
-        assert "deriv" in stats["shared"]["tables"]
+        assert set(stats) == {"incnat", "bitvec"}
         for name in ("incnat", "bitvec"):
             assert "deriv" not in stats[name]["tables"]
 
     def test_per_session_totals_exclude_shared_table(self):
-        from repro.engine.cache import DERIVATIVE_CACHE
-
         _, pool = run_batch_lines(
             [record(op="equiv", theory="incnat", left="inc(x); x > 1", right="x > 0; inc(x)")],
         )
         stats = pool.stats()
-        session_stats = pool.session("incnat").stats()  # direct, shared included
-        shared_hits = DERIVATIVE_CACHE.stats.hits
-        assert session_stats["totals"]["hits"] == (
-            stats["incnat"]["totals"]["hits"] + shared_hits
-        )
+        session_stats = pool.session("incnat").stats()
+        assert set(stats) == {"incnat"}
+        assert session_stats["totals"] == stats["incnat"]["totals"]
+        assert set(session_stats["tables"]) == set(stats["incnat"]["tables"])
 
 
 class TestSignatureFieldsInProtocol:

@@ -57,13 +57,9 @@ class TestHitAccounting:
         stats = caches.stats()
         assert stats["tables"]["norm"]["hits"] == 1
         assert set(stats["tables"]) == {
-            "norm", "sat_pred", "equiv", "aut", "prog", "source", "deriv"
+            "norm", "sat_pred", "equiv", "aut", "prog", "source"
         }
         assert stats["totals"]["hits"] >= 1
-        # include_shared=False leaves the process-wide derivative table out.
-        private = caches.stats(include_shared=False)
-        assert set(private["tables"]) == {"norm", "sat_pred", "equiv", "aut",
-                                          "prog", "source"}
 
 
 class TestThreadSafety:

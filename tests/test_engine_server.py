@@ -15,13 +15,10 @@ import time
 
 import pytest
 
-from repro.core import automata
-from repro.engine.cache import DERIVATIVE_CACHE, EngineCaches, LRUCache
 from repro.engine.client import SocketClient
 from repro.engine.server import (
     QueryServer,
     ResponseSink,
-    ShardedSessionPool,
     SocketServer,
     serve_stdio,
 )
@@ -341,7 +338,7 @@ class TestDrain:
         assert stats["server"]["queue"]["limit"] == 128
         assert stats["server"]["requests"]["completed"] == 1
         assert stats["server"]["latency_ms"]["p50"] is not None
-        assert "shared" in stats
+        assert "shared" not in stats
 
 
 class TestSocketMode:
@@ -448,37 +445,6 @@ class TestEquivResultAliasingRegression:
         assert second.cached is True
         # The cached copy replays the original counters.
         assert second.signatures_explored == first.signatures_explored
-
-
-class TestDerivativeCacheHijackRegression:
-    """The first session built with a custom ``caches=`` bundle used to
-    install its *private* derivative table as the process-wide automata memo,
-    silently redirecting every other session's derivative caching."""
-
-    def test_private_bundle_is_not_installed(self):
-        saved = automata.get_derivative_cache()
-        try:
-            automata.set_derivative_cache(None)
-            custom = EngineCaches(deriv=LRUCache(maxsize=16, name="private"))
-            EngineSession(build_theory("incnat"), caches=custom)
-            assert automata.get_derivative_cache() is None
-            # The next default-bundle session installs the shared table.
-            EngineSession(build_theory("incnat"))
-            assert automata.get_derivative_cache() is DERIVATIVE_CACHE
-        finally:
-            automata.set_derivative_cache(saved)
-
-    def test_pool_stats_report_what_is_installed(self):
-        saved = automata.get_derivative_cache()
-        try:
-            automata.set_derivative_cache(None)
-            assert ShardedSessionPool(stripes=1).stats()["shared"]["tables"] == {}
-            replacement = LRUCache(maxsize=16, name="deriv")
-            automata.set_derivative_cache(replacement)
-            shared = ShardedSessionPool(stripes=1).stats()["shared"]["tables"]
-            assert shared["deriv"] == replacement.stats.as_dict()
-        finally:
-            automata.set_derivative_cache(saved)
 
 
 class TestServeCountingRegression:

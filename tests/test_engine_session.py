@@ -4,11 +4,10 @@ import time
 
 import pytest
 
-from repro.core import automata
 from repro.core import terms as T
 from repro.core.kmt import KMT
 from repro.core.pushback import Normalizer
-from repro.engine.cache import EngineCaches, LRUCache
+from repro.engine.cache import EngineCaches
 from repro.engine.session import EngineSession
 from repro.theories import build_theory
 from repro.theories.bitvec import BitVecTheory
@@ -193,11 +192,6 @@ class TestCrossTheoryReuse:
         assert nat.caches.norm.stats.hits >= 1
         assert boolean.caches.norm.stats.hits >= 1
 
-    def test_sessions_share_derivative_cache(self):
-        nat = EngineSession(IncNatTheory(variables=("x",)))
-        boolean = EngineSession(BitVecTheory(variables=("a",)))
-        assert nat.caches.deriv is boolean.caches.deriv
-
     def test_clear_caches_keeps_session_usable(self):
         session = EngineSession(IncNatTheory(variables=("x",)))
         assert session.equivalent("inc(x); x > 1", "x > 0; inc(x)")
@@ -269,24 +263,15 @@ class TestWarmSessionAmortizes:
 
     @pytest.mark.slow
     def test_warm_session_beats_cold_one_shot(self):
-        """A fresh KMT per query (no shared derivative memo) against one warm
-        session on the same stream: the best theory must win by 3x."""
+        """A fresh KMT per query against one warm session on the same stream:
+        the best theory must win by 3x."""
         speedups = {}
         for theory_name, pairs in REPEATED_WORKLOAD.items():
             stream = pairs * CYCLES
-            saved = automata.get_derivative_cache()
-            automata.set_derivative_cache(None)
-            try:
-                # A bundle with a private derivative table: a fresh KMT on it
-                # leaves the process-wide slot empty, so nothing is memoized
-                # across the cold queries.
-                started = time.perf_counter()
-                cold = [KMT(build_theory(theory_name), caches=EngineCaches(
-                            deriv=LRUCache(maxsize=16, name="deriv"))).equivalent(left, right)
-                        for left, right in stream]
-                cold_s = time.perf_counter() - started
-            finally:
-                automata.set_derivative_cache(saved)
+            started = time.perf_counter()
+            cold = [KMT(build_theory(theory_name)).equivalent(left, right)
+                    for left, right in stream]
+            cold_s = time.perf_counter() - started
             session = EngineSession(build_theory(theory_name))
             started = time.perf_counter()
             warm = [session.equivalent(left, right) for left, right in stream]
@@ -316,21 +301,14 @@ class TestBoundedMemory:
         from repro.engine.batch import run_query
 
         monkeypatch.setattr(cache_module, "SOURCE_TABLE_SIZE", 32)
-        deriv = LRUCache(256, name="deriv")
-        saved = automata.get_derivative_cache()
-        automata.set_derivative_cache(deriv)
         sessions, live = {}, {}
-        try:
-            for index, query in enumerate(itertools.islice(streams.cold_mix(1), 2000), 1):
-                name = query.record["theory"]
-                if name not in sessions:
-                    sessions[name] = KMT(build_theory(name),
-                                         caches=EngineCaches(deriv=deriv, **self.SMALL))
-                result, _ = run_query(sessions[name], dict(query.record))
-                assert all(result[key] == value for key, value in query.expect.items())
-                if index % 1000 == 0:
-                    gc.collect()
-                    live[index] = len(T._INTERN_TABLE)
-        finally:
-            automata.set_derivative_cache(saved)
+        for index, query in enumerate(itertools.islice(streams.cold_mix(1), 2000), 1):
+            name = query.record["theory"]
+            if name not in sessions:
+                sessions[name] = KMT(build_theory(name), caches=EngineCaches(**self.SMALL))
+            result, _ = run_query(sessions[name], dict(query.record))
+            assert all(result[key] == value for key, value in query.expect.items())
+            if index % 1000 == 0:
+                gc.collect()
+                live[index] = len(T._INTERN_TABLE)
         assert live[2000] <= 1.1 * live[1000], live

@@ -360,7 +360,6 @@ class TestArena:
                 "stripes": 1, "queries": 2, "states_compiled": 5, "aut_bytes": 640,
                 "tables": {}, "totals": {"hits": 0, "misses": 0},
             },
-            "shared": {"tables": {}},
         }
         merged = merge_pool_stats([block, block])
         assert merged["incnat"]["aut_bytes"] == 1280

@@ -43,7 +43,7 @@ def _session():
 
 
 def _table_sizes(session):
-    tables = session.stats(include_shared=False)["tables"]
+    tables = session.stats()["tables"]
     return {name: stats["puts"] for name, stats in tables.items()}
 
 

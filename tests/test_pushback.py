@@ -1,15 +1,21 @@
 """Tests for pushback-based normalization (paper Fig. 8, Theorems 3.4/3.5)."""
 
+import json
+import time
+
 import pytest
 from hypothesis import given, settings
 
 from repro.core import terms as T
+from repro.core.kmt import KMT
 from repro.core.normalform import NormalForm
 from repro.core.pushback import DEFAULT_BUDGET, Normalizer, normalize, normalize_with_stats
 from repro.core.semantics import equivalent_up_to_length
+from repro.engine.server import run_batch_lines
+from repro.theories import build_theory
 from repro.theories.bitvec import BitVecTheory, BoolAssign, BoolEq
 from repro.theories.incnat import AssignNat, Gt, IncNatTheory, Incr
-from repro.utils.errors import NormalizationBudgetExceeded
+from repro.utils.errors import NormalizationBudgetExceeded, PushbackCycle
 from repro.utils.frozendict import FrozenDict
 from tests.conftest import all_bitvec_states, bitvec_terms, incnat_terms
 
@@ -149,6 +155,49 @@ class TestBudget:
 
     def test_default_budget_is_generous(self):
         assert DEFAULT_BUDGET >= 100_000
+
+
+#: ``prog_equiv`` requests whose pushback re-enters a PB• pair it is still
+#: computing: pushing a loop guard back through the loop meets the same
+#: ``(action, test)`` pair again.  Normalization does not terminate on them
+#: yet; until it does, each must answer a ``pushback_cycle`` error quickly
+#: instead of recursing into ``input_too_deep``.
+PUSHBACK_CYCLES = [
+    ("sets", "add(X, i);", "while (in(X, 0)) { add(X, i); inc(i); }"),
+    ("sets", "add(X, i);", "while (in(X, 1)) { inc(i); add(X, i); }"),
+    ("sets", "add(X, j);", "while (in(X, 2)) { inc(j); add(X, j); inc(j); }"),
+    ("sets", "add(X, i);", "while (in(X, 0); i > 1) { add(X, i); inc(i); }"),
+    ("maps", "m[i] := p;", "while (m[0] = p) { m[i] := p; inc(i); }"),
+    ("maps", "m[i] := p;", "while (~(m[0] = p)) { m[i] := p; inc(i); }"),
+    ("maps", "m[i] := p;", "while (m[1] = p) { inc(i); m[i] := p; }"),
+]
+
+
+class TestPushbackCycle:
+    @pytest.mark.parametrize("theory,left,right", PUSHBACK_CYCLES)
+    def test_cycle_answers_pushback_cycle(self, theory, left, right):
+        follow_up = {"op": "prog_equiv", "theory": theory, "left": left, "right": left}
+        started = time.monotonic()
+        responses, _ = run_batch_lines([
+            json.dumps({"op": "prog_equiv", "theory": theory, "left": left,
+                        "right": right}),
+            json.dumps(follow_up),
+        ])
+        assert time.monotonic() - started < 5.0
+        cycle, after = responses
+        assert cycle["error_code"] == "pushback_cycle", cycle
+        assert "PB•" in cycle["error"]
+        # The guard leaves the session usable for the next query.
+        assert after["ok"] and after["result"]["equivalent"], after
+
+    def test_guard_names_the_theory(self):
+        theory = build_theory("sets")
+        kmt = KMT(theory)
+        _, left, right = PUSHBACK_CYCLES[0]
+        with pytest.raises(PushbackCycle) as excinfo:
+            kmt.prog_equiv(left, right)
+        assert excinfo.value.theory_name == theory.name
+        assert repr(theory.name) in str(excinfo.value)
 
 
 class TestNormalizerReuse:

@@ -23,7 +23,6 @@ behavior tests keeping the two backends semantically interchangeable.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 import os
@@ -259,31 +258,16 @@ def make_soak_workload(seed=SOAK_SEED, total=SOAK_REQUESTS):
     return lines
 
 
-@contextlib.contextmanager
-def fresh_derivative_cache():
-    """Fresh process-wide derivative memo (restores the previous one)."""
-    from repro.engine.cache import LRUCache
-
-    saved = automata.get_derivative_cache()
-    automata.set_derivative_cache(LRUCache(maxsize=65536, name="deriv"))
-    try:
-        yield
-    finally:
-        automata.set_derivative_cache(saved)
-
-
 def run_path_batch(lines):
-    with fresh_derivative_cache():
-        responses, _ = run_batch_lines(list(lines))
+    responses, _ = run_batch_lines(list(lines))
     return responses
 
 
 def run_path_server(lines, backend, workers=3):
     stdin = io.StringIO("\n".join(lines) + "\n")
     stdout = io.StringIO()
-    with fresh_derivative_cache():
-        with QueryServer(workers=workers, backend=backend) as server:
-            serve_stdio(stdin, stdout, server)
+    with QueryServer(workers=workers, backend=backend) as server:
+        serve_stdio(stdin, stdout, server)
     return [json.loads(line) for line in stdout.getvalue().splitlines()]
 
 
@@ -488,7 +472,7 @@ class TestScaling:
         lines = make_oracle_workload()
         seconds, answers = {}, {}
         for workers in (1, 4):
-            with fresh_derivative_cache(), make_server(
+            with make_server(
                     "thread", workers=workers, oracle_ms=SCALING_ORACLE_MS,
                     oracle_theories=SCALING_THEORIES) as server:
                 seconds[workers], responses = serve_timed(server, lines)
@@ -507,7 +491,7 @@ class TestScaling:
         # A workload cheap enough for pipe overhead to dominate would make
         # this gate measure IPC, not parallelism: it must be CPU-bound.
         sample = make_compute_workload(4, "sample")
-        with fresh_derivative_cache(), QueryServer(workers=1) as server:
+        with QueryServer(workers=1) as server:
             single, _ = serve_timed(server, sample)
         per_query_ms = single / len(sample) * 1000.0
         assert per_query_ms >= 20.0, (
@@ -515,7 +499,7 @@ class TestScaling:
         total = 8
         expected = {f"q{index}": index % 4 != 3 for index in range(total)}
         best = {}
-        with fresh_derivative_cache(), QueryServer(workers=4) as threads, \
+        with QueryServer(workers=4) as threads, \
                 QueryServer(workers=4, backend="process") as processes:
             assert processes.wait_ready(timeout=120)
             # Interference from other load only ever slows a run: best of
@@ -786,7 +770,7 @@ class TestBackendParity:
         assert {"incnat", "bitvec"} <= set(stats)
         assert stats["incnat"]["queries"] >= 1
         assert stats["incnat"]["totals"]["misses"] >= 1
-        assert "deriv" in stats["shared"]["tables"]
+        assert "shared" not in stats
         assert stats["server"]["backend"] == backend
         if backend == "process":
             workers = stats["server"]["process_workers"]
@@ -827,6 +811,33 @@ class TestBackendParity:
         assert served == 2
         assert sorted(reply["id"] for reply in replies) == [1, 2]
         assert all(reply["ok"] for reply in replies)
+
+
+def test_stats_have_one_shape_on_batch_thread_and_process():
+    """``stats`` lists the same theory blocks, block keys and tables on every
+    path, and no ``"shared"`` block: no cache is shared between sessions."""
+    queries = [record(op="sat", pred="x > 1", id="q1"),
+               record(op="equiv", theory="bitvec", left="a := T; a = T",
+                      right="a := T", id="q2")]
+    responses, _ = run_batch_lines(queries + [record(op="stats", id="s")])
+    results = {"batch": next(r for r in responses if r["id"] == "s")["result"]}
+    for backend in ("thread", "process"):
+        sink = ListSink()
+        with QueryServer(workers=2, backend=backend) as server:
+            for line in queries:
+                server.submit_line(line, sink)
+            server.wait_idle(timeout=120)
+            server.submit_line(record(op="stats", id="s"), sink)
+        results[backend] = next(r for r in sink.responses if r["id"] == "s")["result"]
+
+    def shape(stats):
+        return {name: (sorted(block), sorted(block.get("tables", ())))
+                for name, block in stats.items() if name != "server"}
+
+    for stats in results.values():
+        assert set(stats) == {"incnat", "bitvec", "server"}
+    assert shape(results["thread"]) == shape(results["batch"])
+    assert shape(results["process"]) == shape(results["batch"])
 
 
 class TestProcessBackendSpecifics:
@@ -916,14 +927,12 @@ class TestProcessBackendSpecifics:
         block_a = {
             "incnat": {"stripes": 1, "queries": 3, "tables": {"norm": table(3, 1)},
                        "totals": {"hits": 3, "misses": 1}},
-            "shared": {"tables": {"deriv": table(10, 5)}},
         }
         block_b = {
             "incnat": {"stripes": 2, "queries": 5, "tables": {"norm": table(1, 3)},
                        "totals": {"hits": 1, "misses": 3}},
             "bitvec": {"stripes": 1, "queries": 1, "tables": {"norm": table(0, 1)},
                        "totals": {"hits": 0, "misses": 1}},
-            "shared": {"tables": {"deriv": table(2, 3)}},
         }
         merged = merge_pool_stats([block_a, block_b])
         assert merged["incnat"]["stripes"] == 3
@@ -932,8 +941,7 @@ class TestProcessBackendSpecifics:
         assert merged["incnat"]["tables"]["norm"]["hit_rate"] == 0.5
         assert merged["incnat"]["totals"] == {"hits": 4, "misses": 4}
         assert merged["bitvec"]["queries"] == 1
-        assert merged["shared"]["tables"]["deriv"]["hits"] == 12
-        assert merged["shared"]["tables"]["deriv"]["hit_rate"] == round(12 / 20, 4)
+        assert set(merged) == {"incnat", "bitvec"}
 
     def test_cli_serve_process_backend(self, monkeypatch, capsys):
         from repro.cli import main

@@ -6,7 +6,8 @@ produced it, and the rest waits in a backlog of at most
 ``_WRITER_QUEUE_LIMIT`` responses.  A client further behind than that has
 its sink turned broken, so no worker or router link reader ever blocks on
 it, other clients keep getting answers, and ``close()`` returns within its
-timeouts.
+timeouts.  Once its sink is broken the front end stops reading that
+client's requests, so the server stops executing work nobody will read.
 """
 
 import json
@@ -36,6 +37,10 @@ BIG_QUERY = {"op": "norm", "term": "({}); ({})".format(
 #: More responses than the backlog holds, even after the kernel's buffers.
 FLOOD = _WRITER_QUEUE_LIMIT + 150
 
+#: Requests the slow client sends in all: well past what the front end has
+#: read when the sink breaks plus what its queues can still hold then.
+SENT = 4 * FLOOD
+
 
 @pytest.fixture
 def sinks(monkeypatch):
@@ -60,19 +65,45 @@ def _wait_for(predicate, timeout=30.0, message="condition"):
     raise AssertionError(f"timed out waiting for {message}")
 
 
-def _check_slow_reader_is_cut_off(front, sinks):
-    """Flood ``front`` from a client that never reads, then check that a
-    second client is still answered and that ``close()`` is prompt."""
+def _send_flood(slow):
+    flood = "".join(json.dumps(dict(BIG_QUERY, id=i)) + "\n" for i in range(SENT))
+    try:
+        slow.sendall(flood.encode("utf-8"))
+    except OSError:
+        pass  # the front end stopped reading and closed the connection
+
+
+def _wait_until_settled(completed, quiet=1.0, timeout=60.0):
+    """``completed()`` once it has not moved for ``quiet`` seconds."""
+    deadline = time.monotonic() + timeout
+    last, since = completed(), time.monotonic()
+    while time.monotonic() < deadline:
+        time.sleep(0.05)
+        now = completed()
+        if now != last:
+            last, since = now, time.monotonic()
+        elif time.monotonic() - since >= quiet:
+            return now
+    raise AssertionError(f"completed count still growing after {timeout} s")
+
+
+def _check_slow_reader_is_cut_off(front, sinks, completed):
+    """Flood ``front`` from a client that never reads, then check that the
+    server stops executing its requests, that a second client is still
+    answered and that ``close()`` is prompt.  ``completed`` reads the count
+    of requests the executing server has finished."""
     slow = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
     slow.settimeout(30.0)  # a front end that stops reading fails, not hangs
+    sender = threading.Thread(target=_send_flood, args=(slow,), daemon=True)
     closed = False
     try:
         slow.connect(("127.0.0.1", front.port))
-        flood = "".join(json.dumps(dict(BIG_QUERY, id=i)) + "\n" for i in range(FLOOD))
-        slow.sendall(flood.encode("utf-8"))
+        sender.start()
         _wait_for(lambda: any(sink.broken for sink in sinks),
                   message="the slow client's sink to go broken")
+        settled = _wait_until_settled(completed)
+        assert settled < SENT, "the server kept executing a broken client's requests"
 
         with SocketClient("127.0.0.1", front.port, io_timeout=30.0) as fast:
             for i in range(5):
@@ -89,22 +120,29 @@ def _check_slow_reader_is_cut_off(front, sinks):
         assert time.monotonic() - started < 10.0  # no writer waited out its timeout
     finally:
         slow.close()
+        sender.join(timeout=30.0)
         if not closed:
             front.close(drain=False)
 
 
+def _completed(query_server):
+    return lambda: query_server.server_stats()["requests"]["completed"]
+
+
 def test_serve_socket_cuts_off_only_the_slow_reader(sinks):
+    server = QueryServer(workers=2)
     _check_slow_reader_is_cut_off(
-        SocketServer(QueryServer(workers=2), port=0).start(), sinks)
+        SocketServer(server, port=0).start(), sinks, _completed(server))
 
 
 def test_route_cuts_off_only_the_slow_reader(sinks):
-    backend = SocketServer(QueryServer(workers=2), port=0).start()
+    server = QueryServer(workers=2)
+    backend = SocketServer(server, port=0).start()
     try:
         router = Router([("127.0.0.1", backend.port)], probe_interval=60.0)
         front = SocketServer(router, port=0).start()
         assert router.wait_all_up(timeout=10.0)
-        _check_slow_reader_is_cut_off(front, sinks)
+        _check_slow_reader_is_cut_off(front, sinks, _completed(server))
     finally:
         backend.close(drain=False)
 

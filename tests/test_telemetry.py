@@ -444,7 +444,7 @@ class TestStructuredLogging:
 # ---------------------------------------------------------------------------
 
 
-def _worker_block(theory, hits, misses, stripes=1, queries=1, shared_hits=0):
+def _worker_block(theory, hits, misses, stripes=1, queries=1):
     return {
         theory: {
             "stripes": stripes,
@@ -457,27 +457,20 @@ def _worker_block(theory, hits, misses, stripes=1, queries=1, shared_hits=0):
             },
             "totals": {"hits": hits, "misses": misses},
         },
-        "shared": {
-            "tables": {
-                "deriv": {"hits": shared_hits, "misses": 0, "evictions": 0,
-                          "size": 0, "capacity": 4096,
-                          "hit_rate": 1.0 if shared_hits else 0.0},
-            },
-        },
     }
 
 
 class TestMergePoolStats:
     def test_empty_block_list(self):
         merged = merge_pool_stats([])
-        assert merged == {"shared": {"tables": {}}}
+        assert merged == {}
 
     def test_disjoint_theory_sets(self):
         merged = merge_pool_stats([
             _worker_block("incnat", hits=3, misses=1),
             _worker_block("bitvec", hits=0, misses=5),
         ])
-        assert set(merged) == {"incnat", "bitvec", "shared"}
+        assert set(merged) == {"incnat", "bitvec"}
         assert merged["incnat"]["totals"] == {"hits": 3, "misses": 1}
         assert merged["bitvec"]["totals"] == {"hits": 0, "misses": 5}
         assert merged["incnat"]["tables"]["norm"]["hit_rate"] == pytest.approx(0.75)
@@ -492,13 +485,6 @@ class TestMergePoolStats:
         assert block["tables"]["norm"]["hits"] == 4
         assert block["tables"]["norm"]["misses"] == 4
         assert block["tables"]["norm"]["hit_rate"] == pytest.approx(0.5)
-
-    def test_shared_blocks_fold_into_one(self):
-        merged = merge_pool_stats([
-            _worker_block("incnat", 1, 1, shared_hits=2),
-            _worker_block("incnat", 1, 1, shared_hits=5),
-        ])
-        assert merged["shared"]["tables"]["deriv"]["hits"] == 7
 
     def test_respawned_worker_fresh_snapshot_merges_cleanly(self):
         # A crashed worker respawns with zeroed caches; its first snapshot

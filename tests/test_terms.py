@@ -6,11 +6,9 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from repro.core import automata
 from repro.core import terms as T
 from repro.core.kmt import KMT
 from repro.core.normalform import _canonical_conjunction, canonicalize_test
-from repro.engine.cache import LRUCache
 from repro.theories.bitvec import BoolAssign, BoolEq
 from repro.theories.incnat import IncNatTheory
 from tests.conftest import bitvec_preds, bitvec_terms, incnat_preds, incnat_terms
@@ -285,17 +283,10 @@ class TestWeakInterning:
         def live_query_nodes():
             return sum("dropped" in node.pretty() for node in T._INTERN_TABLE.values())
 
-        saved = automata.get_derivative_cache()
-        # The query's automaton states go to a derivative memo that is dropped
-        # with it: the process-wide one would keep them until evicted.
-        automata.set_derivative_cache(LRUCache(64, name="deriv"))
-        try:
-            kmt = KMT(IncNatTheory(variables=("dropped",)))
-            assert kmt.equivalent("inc(dropped)*; dropped > 3",
-                                  "inc(dropped)*; inc(dropped)*; dropped > 3")
-            assert live_query_nodes() > 0
-        finally:
-            automata.set_derivative_cache(saved)
+        kmt = KMT(IncNatTheory(variables=("dropped",)))
+        assert kmt.equivalent("inc(dropped)*; dropped > 3",
+                              "inc(dropped)*; inc(dropped)*; dropped > 3")
+        assert live_query_nodes() > 0
         del kmt
         gc.collect()
         assert live_query_nodes() == 0
